@@ -7,23 +7,18 @@ through the same buffered move rounds and checks two things:
 
 * **golden equivalence** — the columnar pipeline's ordered update
   stream must be byte-identical to the cell-batched stream, every
-  round, under the numpy backend *and* the pure-Python fallback;
-* **speedup** — at full scale (100K objects / 10K queries) with numpy
-  installed, the columnar pipeline must deliver >= 1.5x the
-  cell-batched report throughput end-to-end, >= 1.3x on the
-  report-ingest phase alone (the batch ingest kernel vs the serial
-  grouping loop, read from each engine's
-  ``engine_ingest_seconds_total`` counter), *and* >= 1.3x on the
-  delta-emission phase (the :class:`UpdateBatch` column splice vs an
-  ``emit_mode="materialized"`` twin of the same columnar engine that
-  eagerly constructs ``Update`` objects).  The pure-Python fallback
-  is *recorded* (same workload, smaller populations) but never gated:
-  its point is the stdlib-only guarantee, not speed.
+  round;
+* **speedup** — at full scale (100K objects / 10K queries) the
+  columnar pipeline must deliver >= 1.5x the cell-batched report
+  throughput end-to-end *and* >= 1.3x on the report-ingest phase
+  alone (the batch ingest kernel vs the serial grouping loop, read
+  from each engine's ``engine_ingest_seconds_total`` counter).
 
 Per-round phase seconds (ingest on both engines; plan/join/emit on the
 columnar evaluator) are sampled from the engines' own counters and
 written into the JSON summary, so regressions can be localised to a
-phase without re-profiling.
+phase without re-profiling.  The emit phase's throughput
+(``emit_updates_per_sec``) is recorded for the CI history gate.
 
 Methodology: the two engines are measured **paired and interleaved** —
 round k of the serial engine, then round k of the columnar engine, then
@@ -63,7 +58,6 @@ from bench_bulk_pipeline import (
 )
 from conftest import scaled, write_bench_json
 
-from repro.columnar import numpy_available
 from repro.core.engine import IncrementalEngine
 from repro.obs import MetricsRegistry
 from repro.stats import format_table
@@ -78,36 +72,18 @@ SPEEDUP_TARGET = 1.5
 #: Paired report-ingest phase speedup gate (batch ingest kernel vs the
 #: serial grouping loop), same applicability rules as SPEEDUP_TARGET.
 INGEST_SPEEDUP_TARGET = 1.3
-#: Paired delta-emission phase speedup gate (UpdateBatch column splice
-#: vs the materialized-emission twin), same applicability rules.
-EMIT_SPEEDUP_TARGET = 1.3
-#: Populations for the recorded-not-gated pure-Python fallback leg.
-FALLBACK_OBJECTS = 4_000
-FALLBACK_QUERIES = 400
 
 
-def build_engines(n_objects: int, n_queries: int, backend: str):
-    """A (cell-batched, columnar, materialized-emit columnar) engine
-    trio over identical workloads.  The third engine differs from the
-    second only in ``emit_mode``: it eagerly constructs ``Update``
-    objects, baselining the batch column splice."""
+def build_engines(n_objects: int, n_queries: int):
+    """A (cell-batched, columnar) engine pair over identical workloads."""
     initial, queries, move_rounds = build_workload(n_objects, n_queries)
     engines = []
-    specs = (
-        ("cell-batched", {}),
-        ("columnar", {"columnar_backend": backend}),
-        (
-            "columnar",
-            {"columnar_backend": backend, "emit_mode": "materialized"},
-        ),
-    )
-    for pipeline, kwargs in specs:
+    for pipeline in ("cell-batched", "columnar"):
         engine = IncrementalEngine(
             grid_size=GRID_SIZE,
             prediction_horizon=60.0,
             pipeline=pipeline,
             registry=MetricsRegistry(),
-            **kwargs,
         )
         for oid, location in initial:
             engine.report_object(oid, location, 0.0)
@@ -120,7 +96,7 @@ def build_engines(n_objects: int, n_queries: int, backend: str):
                 engine.register_predictive_query(spec[1], spec[2], spec[3])
         engine.evaluate(0.0)
         engines.append(engine)
-    return engines[0], engines[1], engines[2], move_rounds
+    return engines[0], engines[1], move_rounds
 
 
 #: Phase counters sampled per round: (key, metric name, labels).
@@ -145,48 +121,39 @@ def _phase_snapshot(engine) -> dict[str, float]:
     }
 
 
-#: Per-round evaluation orders: a balanced rotation so every engine
-#: occupies every position, cancelling monotonic load drift within a
-#: round the way the old two-engine alternation did.
-_EVAL_ORDERS = (
-    ("serial", "columnar", "materialized"),
-    ("columnar", "materialized", "serial"),
-    ("materialized", "serial", "columnar"),
-)
+#: Per-round evaluation orders: the engines alternate positions,
+#: cancelling monotonic load drift within a round.
+_EVAL_ORDERS = (("serial", "columnar"), ("columnar", "serial"))
 
 
 def _updates_emitted(engine) -> float:
     return engine.registry.counter("engine_updates_emitted_total").value
 
 
-def run_paired(serial, columnar, materialized, move_rounds, timed_rounds: int):
+def run_paired(serial, columnar, move_rounds, timed_rounds: int):
     """Interleaved paired rounds; returns per-round (serial s, columnar s)
     plus per-round phase seconds from each engine's counters.
 
     Every round — including the untimed warm-up — asserts byte-identical
-    ordered update streams across all three engines, then discards them
-    so no engine's later rounds are measured under another's garbage.
+    ordered update streams across both engines, then discards them so
+    neither engine's later rounds are measured under the other's garbage.
 
     Phase seconds come from the engines' own counters
     (``engine_ingest_seconds_total`` on both pipelines,
-    ``engine_columnar_phase_seconds_total{phase=...}`` on the two
-    columnar engines), sampled before and after each round — the same
-    paired, per-round deltas as the wall clock, so the phase ratios
-    share the wall-clock ratio's robustness to drifting machine load.
+    ``engine_columnar_phase_seconds_total{phase=...}`` on the columnar
+    engine), sampled before and after each round — the same paired,
+    per-round deltas as the wall clock, so the phase ratios share the
+    wall-clock ratio's robustness to drifting machine load.
     ``emit_updates`` counts ``engine_updates_emitted_total`` deltas on
-    the batch columnar engine, giving an emission throughput per round.
+    the columnar engine, giving an emission throughput per round.
 
-    The engines rotate through :data:`_EVAL_ORDERS` round to round:
+    The engines alternate through :data:`_EVAL_ORDERS` round to round:
     within a round they run seconds apart, so a monotonic load drift
     would otherwise consistently tax whichever engine always ran
-    last.  Rotation flips the bias round to round and the median
+    last.  Alternation flips the bias round to round and the median
     absorbs it.
     """
-    engines = {
-        "serial": serial,
-        "columnar": columnar,
-        "materialized": materialized,
-    }
+    engines = {"serial": serial, "columnar": columnar}
     pairs: list[tuple[float, float]] = []
     phases: dict[str, list[float]] = {
         "serial_ingest": [],
@@ -194,7 +161,6 @@ def run_paired(serial, columnar, materialized, move_rounds, timed_rounds: int):
         "plan": [],
         "join": [],
         "emit": [],
-        "materialized_emit": [],
         "emit_updates": [],
     }
     now = 0.0
@@ -224,15 +190,10 @@ def run_paired(serial, columnar, materialized, move_rounds, timed_rounds: int):
             updates_after = _updates_emitted(columnar)
         finally:
             gc.enable()
-        want = [(u.qid, u.oid, u.sign) for u in streams["serial"]]
-        for name in ("columnar", "materialized"):
-            got = [(u.qid, u.oid, u.sign) for u in streams[name]]
-            assert got == want, (
-                f"{name} stream diverged from cell-batched "
-                f"in round {round_no}"
-            )
-            del got
-        del streams, want
+        assert streams["columnar"] == streams["serial"], (
+            f"columnar stream diverged from cell-batched in round {round_no}"
+        )
+        del streams
         if round_no > 0:  # round 0 is the cache warm-up
             pairs.append((seconds["serial"], seconds["columnar"]))
             phases["serial_ingest"].append(
@@ -245,9 +206,6 @@ def run_paired(serial, columnar, materialized, move_rounds, timed_rounds: int):
                 phases[key].append(
                     after["columnar"][key] - before["columnar"][key]
                 )
-            phases["materialized_emit"].append(
-                after["materialized"]["emit"] - before["materialized"]["emit"]
-            )
             phases["emit_updates"].append(updates_after - updates_before)
     return pairs, phases
 
@@ -255,16 +213,11 @@ def run_paired(serial, columnar, materialized, move_rounds, timed_rounds: int):
 def run_comparison(
     n_objects: int,
     n_queries: int,
-    backend: str,
     timed_rounds: int,
     assert_speedup: bool,
 ):
-    serial, columnar, materialized, move_rounds = build_engines(
-        n_objects, n_queries, backend
-    )
-    pairs, phases = run_paired(
-        serial, columnar, materialized, move_rounds, timed_rounds
-    )
+    serial, columnar, move_rounds = build_engines(n_objects, n_queries)
+    pairs, phases = run_paired(serial, columnar, move_rounds, timed_rounds)
     ratios = [s / c for s, c in pairs]
     speedup = statistics.median(ratios)
     serial_times = [s for s, _ in pairs]
@@ -278,13 +231,6 @@ def run_comparison(
         for s, c in zip(phases["serial_ingest"], phases["columnar_ingest"])
     ]
     ingest_speedup = statistics.median(ingest_ratios)
-    # Paired emit-phase ratio: materialized Update construction vs the
-    # UpdateBatch column splice, on otherwise-identical engines.
-    emit_ratios = [
-        m / b if b > 0.0 else 1.0
-        for m, b in zip(phases["materialized_emit"], phases["emit"])
-    ]
-    emit_speedup = statistics.median(emit_ratios)
     emit_rates = [
         u / s for u, s in zip(phases["emit_updates"], phases["emit"]) if s > 0.0
     ]
@@ -294,11 +240,10 @@ def run_comparison(
         for key, values in phases.items()
     }
 
-    resolved = columnar.columnar_backend
     rows = [
         ["cell-batched", serial_round * 1e3, n_objects / serial_round, 1.0],
         [
-            f"columnar ({resolved})",
+            "columnar",
             columnar_round * 1e3,
             n_objects / columnar_round,
             speedup,
@@ -311,9 +256,9 @@ def run_comparison(
     other = columnar_round - sum(
         phase_medians[key] for key in ("columnar_ingest", "plan", "join", "emit")
     )
-    # The ingest row's baseline is the cell-batched grouping loop; the
-    # emit row's is the materialized-emission twin.  Throughput is the
-    # phase's natural unit: reports/s for ingest, updates/s for emit.
+    # The ingest row's baseline is the cell-batched grouping loop.
+    # Throughput is the phase's natural unit: reports/s for ingest,
+    # updates/s for emit.
     nan = float("nan")
     phase_rows = [
         [
@@ -332,8 +277,8 @@ def run_comparison(
         [
             "emit",
             phase_medians["emit"] * 1e3,
-            phase_medians["materialized_emit"] * 1e3,
-            emit_speedup,
+            nan,
+            nan,
             emit_updates_per_sec if emit_updates_per_sec > 0.0 else nan,
         ],
         ["other", max(other, 0.0) * 1e3, nan, nan, nan],
@@ -362,17 +307,10 @@ def run_comparison(
             f"queries (paired per-round ingest ratios: "
             f"{', '.join(f'{r:.3f}' for r in ingest_ratios)})"
         )
-        assert emit_speedup >= EMIT_SPEEDUP_TARGET, (
-            f"batch emission managed only {emit_speedup:.2f}x over "
-            f"materialized Update construction at {n_objects} objects / "
-            f"{n_queries} queries (paired per-round emit ratios: "
-            f"{', '.join(f'{r:.3f}' for r in emit_ratios)})"
-        )
 
     return {
         "table": table,
         "phase_table": phase_table,
-        "backend": resolved,
         "serial_times": serial_times,
         "columnar_times": columnar_times,
         "ratios": ratios,
@@ -381,22 +319,15 @@ def run_comparison(
         "phase_medians": phase_medians,
         "ingest_ratios": ingest_ratios,
         "ingest_speedup": ingest_speedup,
-        "emit_ratios": emit_ratios,
-        "emit_speedup": emit_speedup,
         "emit_updates_per_sec": emit_updates_per_sec,
         "registry": columnar.registry,
     }
 
 
 def gate_applies(n_objects: int, n_queries: int) -> bool:
-    """The 1.5x end-to-end, 1.3x ingest-phase, and 1.3x emit-phase
-    gates engage only where they are meaningful: numpy backend at full
-    populations (the fallback is recorded, never gated)."""
-    return (
-        numpy_available()
-        and n_objects >= FULL_OBJECTS
-        and n_queries >= FULL_QUERIES
-    )
+    """The 1.5x end-to-end and 1.3x ingest-phase gates engage only
+    where they are meaningful: at full populations."""
+    return n_objects >= FULL_OBJECTS and n_queries >= FULL_QUERIES
 
 
 def test_columnar_pipeline(benchmark, record_series, request):
@@ -405,14 +336,13 @@ def test_columnar_pipeline(benchmark, record_series, request):
     result = run_comparison(
         n_objects,
         n_queries,
-        backend="auto",
         timed_rounds=3,
         assert_speedup=gate_applies(n_objects, n_queries),
     )
     record_series("columnar_pipeline", result["table"])
 
     # Hand one columnar bulk evaluation to pytest-benchmark.
-    __, engine, __, move_rounds = build_engines(n_objects, n_queries, "auto")
+    __, engine, move_rounds = build_engines(n_objects, n_queries)
     request.node.bench_registry = engine.registry
     clock = [0.0]
 
@@ -425,29 +355,13 @@ def test_columnar_pipeline(benchmark, record_series, request):
     benchmark.extra_info["objects"] = n_objects
     benchmark.extra_info["queries"] = n_queries
     benchmark.extra_info["grid_size"] = GRID_SIZE
-    benchmark.extra_info["backend"] = result["backend"]
     benchmark.extra_info["speedup_vs_cell_batched"] = round(
         result["speedup"], 3
     )
     benchmark.extra_info["ingest_speedup_vs_cell_batched"] = round(
         result["ingest_speedup"], 3
     )
-    benchmark.extra_info["emit_speedup_vs_materialized"] = round(
-        result["emit_speedup"], 3
-    )
     benchmark.pedantic(engine.evaluate, setup=setup, rounds=3)
-
-
-def test_python_fallback_equivalence_small():
-    """The pure-Python backend is exercised even when numpy is present."""
-    result = run_comparison(
-        QUICK_OBJECTS // 4,
-        QUICK_QUERIES // 4,
-        backend="python",
-        timed_rounds=1,
-        assert_speedup=False,
-    )
-    assert result["backend"] == "python"
 
 
 def main(argv: list[str]) -> int:
@@ -460,13 +374,11 @@ def main(argv: list[str]) -> int:
     print(
         f"columnar pipeline benchmark ({label}): "
         f"{n_objects} objects, {n_queries} queries, "
-        f"{timed_rounds} paired rounds + warm-up, "
-        f"numpy={'yes' if numpy_available() else 'no'}"
+        f"{timed_rounds} paired rounds + warm-up"
     )
     result = run_comparison(
         n_objects,
         n_queries,
-        backend="auto",
         timed_rounds=timed_rounds,
         assert_speedup=gated,
     )
@@ -479,27 +391,7 @@ def main(argv: list[str]) -> int:
         f"(batch kernel vs serial grouping loop)"
     )
     print(
-        f"delta-emit phase: {result['emit_speedup']:.2f}x paired "
-        f"(UpdateBatch splice vs materialized emission), "
-        f"{result['emit_updates_per_sec']:,.0f} updates/s"
-    )
-
-    # Recorded-not-gated pure-Python fallback leg (small populations:
-    # the fallback exists for the stdlib-only guarantee, not for speed).
-    fb_objects = min(FALLBACK_OBJECTS, n_objects)
-    fb_queries = min(FALLBACK_QUERIES, n_queries)
-    fallback = run_comparison(
-        fb_objects,
-        fb_queries,
-        backend="python",
-        timed_rounds=2,
-        assert_speedup=False,
-    )
-    print()
-    print(
-        f"pure-Python fallback ({fb_objects} objects / {fb_queries} "
-        f"queries): {fallback['speedup']:.2f}x vs cell-batched "
-        f"(recorded, not gated)"
+        f"delta-emit phase: {result['emit_updates_per_sec']:,.0f} updates/s"
     )
 
     path = write_bench_json(
@@ -512,7 +404,6 @@ def main(argv: list[str]) -> int:
             "queries": n_queries,
             "grid_size": GRID_SIZE,
             "timed_rounds": timed_rounds,
-            "backend": result["backend"],
         },
         extra={
             "cell_batched_round_seconds": result["serial_times"],
@@ -528,16 +419,7 @@ def main(argv: list[str]) -> int:
                 if result["phase_medians"]["columnar_ingest"] > 0.0
                 else 0.0
             ),
-            "emit_round_ratios": result["emit_ratios"],
-            "emit_speedup_vs_materialized": result["emit_speedup"],
             "emit_updates_per_sec": result["emit_updates_per_sec"],
-            "python_fallback": {
-                "objects": fb_objects,
-                "queries": fb_queries,
-                "round_seconds": fallback["columnar_times"],
-                "cell_batched_round_seconds": fallback["serial_times"],
-                "speedup_vs_cell_batched": fallback["speedup"],
-            },
         },
         registry=result["registry"],
     )

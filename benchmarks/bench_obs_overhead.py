@@ -10,7 +10,7 @@ live :class:`~repro.obs.MetricsRegistry` + :class:`~repro.obs.Tracer`
 once with ``NULL_REGISTRY`` + ``NULL_TRACER`` (which also compiles the
 freshness tracker and recorder down to their no-op twins) — and at full
 scale the instrumented throughput must stay within 5% of the no-op
-baseline for **each** of cell-batched, parallel and columnar.
+baseline for **each** of cell-batched and columnar.
 
 Runs two ways:
 
@@ -55,7 +55,6 @@ from repro.obs import (
     NULL_TRACER,
     FlightRecorder,
 )
-from repro.parallel import ParallelConfig
 from repro.stats import format_table
 
 #: Maximum tolerated throughput loss with telemetry on, at full scale.
@@ -63,25 +62,11 @@ MAX_OVERHEAD_FRACTION = 0.05
 
 #: Every bulk pipeline the gate covers (per-object is the reference
 #: path, not a production pipeline — it is not held to the budget).
-GATED_PIPELINES = ("cell-batched", "parallel", "columnar")
+GATED_PIPELINES = ("cell-batched", "columnar")
 
 #: Interleaved rounds per arm.  Move deltas cycle through the shared
 #: workload's rounds, so both arms drift through identical trajectories.
 OVERHEAD_ROUNDS = 6
-
-
-def pipeline_kwargs(pipeline: str) -> dict:
-    """Engine kwargs for one gated pipeline.  The parallel arm mirrors
-    the chaos harness: thread backend, tiny dispatch threshold — the
-    overhead question is per-message bookkeeping cost, which the thread
-    pool exercises without process-spawn noise on small hosts."""
-    if pipeline == "parallel":
-        return {
-            "parallelism": ParallelConfig(
-                workers=2, backend="thread", min_batch=1
-            )
-        }
-    return {}
 
 
 def timed_evaluation(engine, moves, now: float):
@@ -112,40 +97,32 @@ def run_overhead_comparison(
     # A/B run at this scale measures machine drift (allocator state,
     # frequency scaling over minutes) more than it measures telemetry,
     # and the drift dwarfs a single-digit-percent effect.
-    kwargs = pipeline_kwargs(pipeline)
     on_engine = build_engine(
         pipeline,
         initial,
         queries,
         recorder=FlightRecorder(capacity=DEFAULT_RING_SIZE),
-        **kwargs,
     )
     off_engine = build_engine(
-        pipeline, initial, queries, NULL_REGISTRY, NULL_TRACER, **kwargs
+        pipeline, initial, queries, NULL_REGISTRY, NULL_TRACER
     )
     arms = {"on": on_engine, "off": off_engine}
     times: dict[str, list[float]] = {"on": [], "off": []}
-    try:
-        now = 0.0
-        for round_no in range(OVERHEAD_ROUNDS):
-            moves = move_rounds[round_no % len(move_rounds)]
-            now += 1.0
-            order = ("on", "off") if round_no % 2 == 0 else ("off", "on")
-            results = {}
-            for key in order:
-                elapsed, update_keys = timed_evaluation(
-                    arms[key], moves, now
-                )
-                times[key].append(elapsed)
-                results[key] = update_keys
-            # Telemetry must be purely observational.
-            assert results["on"] == results["off"], (
-                f"telemetry changed the {pipeline} update set in round "
-                f"{round_no}"
-            )
-    finally:
-        on_engine.close()
-        off_engine.close()
+    now = 0.0
+    for round_no in range(OVERHEAD_ROUNDS):
+        moves = move_rounds[round_no % len(move_rounds)]
+        now += 1.0
+        order = ("on", "off") if round_no % 2 == 0 else ("off", "on")
+        results = {}
+        for key in order:
+            elapsed, update_keys = timed_evaluation(arms[key], moves, now)
+            times[key].append(elapsed)
+            results[key] = update_keys
+        # Telemetry must be purely observational.
+        assert results["on"] == results["off"], (
+            f"telemetry changed the {pipeline} update set in round "
+            f"{round_no}"
+        )
     on_times, off_times = times["on"], times["off"]
 
     on_round = statistics.median(on_times)

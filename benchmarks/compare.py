@@ -55,7 +55,6 @@ def entry_from_bench(path: Path) -> dict:
         "speedup_gate_applied",
         "ingest_speedup_vs_cell_batched",
         "ingest_reports_per_sec",
-        "emit_speedup_vs_materialized",
         "emit_updates_per_sec",
     ):
         if key in data:

@@ -6,17 +6,9 @@ kernels for the cell-range join and cohort membership classification
 (:mod:`repro.columnar.kernels`) and k-NN candidate distance filtering
 (:mod:`repro.columnar.knn`), orchestrated per evaluation by
 :class:`~repro.columnar.evaluate.ColumnarEvaluator`.  Kernels run on
-numpy when available and on pure-Python ``array`` columns otherwise
-(:mod:`repro.columnar.backend` — the stdlib-only guarantee holds).
+numpy, a declared runtime dependency.
 """
 
-from repro.columnar.backend import (
-    BACKEND_ENV_VAR,
-    BACKENDS,
-    numpy_available,
-    numpy_or_none,
-    resolve_backend,
-)
 from repro.columnar.evaluate import ColumnarEvaluator
 from repro.columnar.ingest import MULTI_CELL, NOT_INDEXED, BatchIngest
 from repro.columnar.kernels import PairPlan, classify_transitions
@@ -31,8 +23,6 @@ from repro.columnar.store import (
 )
 
 __all__ = [
-    "BACKEND_ENV_VAR",
-    "BACKENDS",
     "BatchIngest",
     "MULTI_CELL",
     "NOT_INDEXED",
@@ -46,7 +36,4 @@ __all__ = [
     "PairPlan",
     "classify_transitions",
     "knn_search_columnar",
-    "numpy_available",
-    "numpy_or_none",
-    "resolve_backend",
 ]

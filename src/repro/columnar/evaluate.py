@@ -35,6 +35,8 @@ the engine's registered-knn set, memoised per evaluation.
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro.columnar.kernels import PairPlan, classify_transitions
 from repro.columnar.store import (
     KIND_KNN,
@@ -42,7 +44,6 @@ from repro.columnar.store import (
     KIND_RANGE,
     ColumnarAnswerStore,
 )
-from repro.columnar.backend import numpy_or_none
 
 #: ``engine_columnar_batch_size`` histogram bounds: powers of four from
 #: a single pair up to 16M pairs per batch.
@@ -58,8 +59,7 @@ def _by_oid(state) -> int:
 class _CellEntries:
     """One cell's cached candidate rows (query-store row indices).
 
-    ``partial``/``full`` are int32 ndarrays under the numpy backend and
-    plain lists under the python backend; ``full_rows`` is always the
+    ``partial``/``full`` are int32 ndarrays; ``full_rows`` is the
     plain-list form of ``full`` (multi-cell cohorts filter it against
     rows already joined in an earlier cell); ``cover_set`` holds the
     covering rows as a frozenset (point-pair cohorts intersect the two
@@ -111,7 +111,6 @@ class ColumnarEvaluator:
         objects,
         queries,
         knn_qids,
-        backend: str,
         registry,
         tracer,
     ):
@@ -122,22 +121,15 @@ class ColumnarEvaluator:
         self.objects = objects
         self.queries = queries
         self.knn_qids = knn_qids
-        self.backend = backend
         self.tracer = tracer
-        self._np = numpy_or_none() if backend == "numpy" else None
         self._cell_cache: dict[int, _CellEntries] = {}
         self._cohort_cache: dict[tuple, tuple] = {}
         self._cache_version = -1
         self._knn_memo: dict[int, tuple] = {}
-        if self._np is not None:
-            empty = self._np.empty(0, dtype=self._np.int32)
-            self._empty_entries = _CellEntries(
-                empty, empty, (), frozenset(), _EMPTY_QIDS
-            )
-        else:
-            self._empty_entries = _CellEntries(
-                (), (), (), frozenset(), _EMPTY_QIDS
-            )
+        empty = np.empty(0, dtype=np.int32)
+        self._empty_entries = _CellEntries(
+            empty, empty, (), frozenset(), _EMPTY_QIDS
+        )
         self._h_batch_size = registry.histogram(
             "engine_columnar_batch_size", buckets=BATCH_SIZE_BUCKETS
         )
@@ -166,7 +158,7 @@ class ColumnarEvaluator:
         # answered sweep's k-NN member union is assembled from (and
         # cached against) the same arrays.  The engine invalidates an
         # entry whenever it mutates an answer outside these paths.
-        self.answers = ColumnarAnswerStore(registry, backend)
+        self.answers = ColumnarAnswerStore(registry)
         self._knn_union_cache: tuple[tuple[int, int], frozenset[int]] | None = (
             None
         )
@@ -184,34 +176,24 @@ class ColumnarEvaluator:
         self._m_batches.inc()
         self._m_pairs.inc(plan.total_pairs)
         self._h_batch_size.observe(plan.total_pairs)
-        bulk = self._np is not None
         with span("columnar_join", phase_counters["join"]):
             qids, oids, signs, ends, arrays = classify_transitions(
-                plan,
-                self.ostore,
-                self.qstore,
-                self.backend,
-                want_arrays=True,
+                plan, self.ostore, self.qstore, want_arrays=True
             )
         self._m_changes.inc(len(qids))
         with span("columnar_emit", self._emit_span_counter):
             special = self._sweep_candidates()
-            if bulk:
-                self._emit_bulk(
-                    metas,
-                    ends,
-                    qids,
-                    oids,
-                    signs,
-                    arrays,
-                    special,
-                    updates,
-                    knn_dirty,
-                )
-            else:
-                self._emit(
-                    metas, ends, qids, oids, signs, special, updates, knn_dirty
-                )
+            self._emit(
+                metas,
+                ends,
+                qids,
+                oids,
+                signs,
+                arrays,
+                special,
+                updates,
+                knn_dirty,
+            )
 
     # ------------------------------------------------------------------
     # Plan construction
@@ -287,7 +269,6 @@ class ColumnarEvaluator:
             a, b = entry_list
             if a.cover_set and b.cover_set:
                 joined |= a.cover_set & b.cover_set
-        np = self._np
         parts: list = []
         total = 0
         seen: set[int] = set()
@@ -302,10 +283,8 @@ class ColumnarEvaluator:
                     joined.update(keep)
                     if len(keep) == len(full_rows):
                         part = entries.full
-                    elif np is not None:
-                        part = np.asarray(keep, dtype=np.int32)
                     else:
-                        part = keep
+                        part = np.asarray(keep, dtype=np.int32)
                     parts.append(part)
                     total += len(part)
             if entries.static_qids:
@@ -380,19 +359,13 @@ class ColumnarEvaluator:
         if not full and not static:
             cached = self._empty_entries
         else:
-            np = self._np
-            if np is not None:
-                cached = _CellEntries(
-                    np.asarray(partial, dtype=np.int32),
-                    np.asarray(full, dtype=np.int32),
-                    full,
-                    frozenset(covering),
-                    frozenset(static),
-                )
-            else:
-                cached = _CellEntries(
-                    partial, full, full, frozenset(covering), frozenset(static)
-                )
+            cached = _CellEntries(
+                np.asarray(partial, dtype=np.int32),
+                np.asarray(full, dtype=np.int32),
+                full,
+                frozenset(covering),
+                frozenset(static),
+            )
         self._cell_cache[cell] = cached
         return cached
 
@@ -406,10 +379,9 @@ class ColumnarEvaluator:
     ):
         """Vectorized ``_predicted_in_region`` over candidate ``oids``.
 
-        Returns one bool per oid (same order), or ``None`` under the
-        python backend (callers fall back to the scalar path).  The
-        arithmetic replicates the scalar sequence operation-for-
-        operation — ``position_at`` displacement, then Liang–Barsky
+        Returns one bool per oid (same order).  The arithmetic
+        replicates the scalar sequence operation-for-operation —
+        ``position_at`` displacement, then Liang–Barsky
         slab clipping in the same edge order with the same running
         ``t0``/``t1`` comparisons — so each lane's IEEE result is
         bit-identical to ``LinearMotion.time_in_rect``'s verdict.
@@ -417,8 +389,9 @@ class ColumnarEvaluator:
         makes every slab test degenerate to the closed containment
         check the scalar path uses.
         """
-        ok = self._predicted_inside_arr(oids, region, now, horizon, trust_horizon)
-        return None if ok is None else ok.tolist()
+        return self._predicted_inside_arr(
+            oids, region, now, horizon, trust_horizon
+        ).tolist()
 
     def _predicted_inside_arr(
         self,
@@ -428,10 +401,7 @@ class ColumnarEvaluator:
         horizon: float,
         trust_horizon: float,
     ):
-        """:meth:`predicted_inside` as a bool ndarray (numpy only)."""
-        np = self._np
-        if np is None or not oids:
-            return None
+        """:meth:`predicted_inside` as a bool ndarray."""
         ostore = self.ostore
         row_of = ostore._row_of
         rows = np.fromiter(
@@ -497,9 +467,7 @@ class ColumnarEvaluator:
         arr = self.answers.peek(qid)
         if arr is None or len(arr) != len(live):
             return None
-        if self._np is not None:
-            return frozenset(arr.tolist())
-        return frozenset(arr)
+        return frozenset(arr.tolist())
 
     def refresh_predictive(
         self,
@@ -510,7 +478,7 @@ class ColumnarEvaluator:
         horizon: float,
         trust_horizon: float,
         updates,
-    ) -> bool:
+    ) -> None:
         """Vectorized predictive refresh for one query (no flip
         schedule).  ``ordered`` is the ascending candidate list and is
         always a superset of the current answer (the engine seeds
@@ -521,15 +489,11 @@ class ColumnarEvaluator:
         candidates against the stored sorted answer array; changed
         memberships are applied to the live ``answer``/``answered``
         sets and emitted ascending by oid — precisely the serial
-        loop's order.  Returns ``False`` (engine falls back to the
-        scalar loop) under the python backend.
+        loop's order.
         """
-        np = self._np
         inside = self._predicted_inside_arr(
             ordered, query.region, now, horizon, trust_horizon
         )
-        if inside is None:
-            return False
         answer = query.answer
         candidates = np.asarray(ordered, dtype=np.int64)
         # The store's length check doubles as the defensive rebuild for
@@ -557,7 +521,6 @@ class ColumnarEvaluator:
                     objects[oid].answered.discard(qid)
                     push(qid, oid, -1)
         self.answers.put(qid, candidates[inside])
-        return True
 
     def _sweep_candidates(self) -> frozenset[int] | set[int]:
         """Oids that can possibly fail the sweep's ``answered <= seen``
@@ -588,48 +551,26 @@ class ColumnarEvaluator:
         """
         ostore = self.ostore
         world = self.grid.world
-        np = self._np
         knn_members = self._knn_member_union()
         special: set[int] = set()
-        if np is not None:
-            xs, ys, old_xs, old_ys = ostore.coord_views()
-            # NaN old coordinates (new objects) compare False on every
-            # bound: a fresh object is never off-world-stale.
-            with np.errstate(invalid="ignore"):
-                off = (
-                    (xs < world.min_x)
-                    | (xs > world.max_x)
-                    | (ys < world.min_y)
-                    | (ys > world.max_y)
-                    | (old_xs < world.min_x)
-                    | (old_xs > world.max_x)
-                    | (old_ys < world.min_y)
-                    | (old_ys > world.max_y)
-                )
-            off_rows = np.flatnonzero(off)
-            if len(off_rows):
-                oid_col = np.frombuffer(ostore.oids, dtype=np.int64)
-                special.update(oid_col[off_rows].tolist())
-        else:
-            xs = ostore.xs
-            ys = ostore.ys
-            old_xs = ostore.old_xs
-            old_ys = ostore.old_ys
-            oid_col = ostore.oids
-            min_x, min_y = world.min_x, world.min_y
-            max_x, max_y = world.max_x, world.max_y
-            for row in range(len(oid_col)):
-                if (
-                    xs[row] < min_x
-                    or xs[row] > max_x
-                    or ys[row] < min_y
-                    or ys[row] > max_y
-                    or old_xs[row] < min_x
-                    or old_xs[row] > max_x
-                    or old_ys[row] < min_y
-                    or old_ys[row] > max_y
-                ):
-                    special.add(oid_col[row])
+        xs, ys, old_xs, old_ys = ostore.coord_views()
+        # NaN old coordinates (new objects) compare False on every
+        # bound: a fresh object is never off-world-stale.
+        with np.errstate(invalid="ignore"):
+            off = (
+                (xs < world.min_x)
+                | (xs > world.max_x)
+                | (ys < world.min_y)
+                | (ys > world.max_y)
+                | (old_xs < world.min_x)
+                | (old_xs > world.max_x)
+                | (old_ys < world.min_y)
+                | (old_ys > world.max_y)
+            )
+        off_rows = np.flatnonzero(off)
+        if len(off_rows):
+            oid_col = np.frombuffer(ostore.oids, dtype=np.int64)
+            special.update(oid_col[off_rows].tolist())
         if not special:
             return knn_members
         special.update(knn_members)
@@ -649,28 +590,17 @@ class ColumnarEvaluator:
             return cached[1]
         queries = self.queries
         answers = self.answers
-        np = self._np
-        if np is not None:
-            kind_col = np.frombuffer(qstore.kinds, dtype=np.int8)
-            rows = np.flatnonzero(kind_col == KIND_KNN)
-            if len(rows):
-                qid_col = np.frombuffer(qstore.qids, dtype=np.int64)
-                parts = [
-                    answers.get(qid, queries[qid].answer)
-                    for qid in qid_col[rows].tolist()
-                ]
-                union = frozenset(
-                    np.unique(np.concatenate(parts)).tolist()
-                )
-            else:
-                union = frozenset()
+        kind_col = np.frombuffer(qstore.kinds, dtype=np.int8)
+        rows = np.flatnonzero(kind_col == KIND_KNN)
+        if len(rows):
+            qid_col = np.frombuffer(qstore.qids, dtype=np.int64)
+            parts = [
+                answers.get(qid, queries[qid].answer)
+                for qid in qid_col[rows].tolist()
+            ]
+            union = frozenset(np.unique(np.concatenate(parts)).tolist())
         else:
-            members: set[int] = set()
-            for row, kind in enumerate(qstore.kinds):
-                if kind == KIND_KNN:
-                    qid = qstore.qids[row]
-                    members.update(answers.get(qid, queries[qid].answer))
-            union = frozenset(members)
+            union = frozenset()
         # Key re-read after the build: the gets above may have bumped
         # the answer-store version while rebuilding missing rows.
         self._knn_union_cache = ((qstore.version, self.answers.version), union)
@@ -680,10 +610,10 @@ class ColumnarEvaluator:
     # Ordered emission + answered sweep
     # ------------------------------------------------------------------
 
-    def _emit_bulk(
+    def _emit(
         self, metas, ends, qids, oids, signs, arrays, special, updates, knn_dirty
     ) -> None:
-        """numpy fast path: bulk set maintenance + spliced emission.
+        """Bulk set maintenance + spliced emission.
 
         Every object belongs to exactly one transition cohort per
         batch, so cohort *i*'s pair emissions touch membership atoms —
@@ -698,7 +628,6 @@ class ColumnarEvaluator:
         ``extend_columns`` (zero per-pair allocation), with each
         cohort's sweep output spliced in right after its pair span.
         """
-        np = self._np
         queries = self.queries
         if arrays is not None:
             qid_arr, oid_arr, _ = arrays
@@ -803,68 +732,3 @@ class ColumnarEvaluator:
                 extend_columns(qids[prev:], oids[prev:], signs[prev:])
         else:
             updates.extend_columns(qids, oids, signs)
-
-    def _emit(
-        self, metas, ends, qids, oids, signs, special, updates, knn_dirty
-    ) -> None:
-        queries = self.queries
-        objects = self.objects
-        qstore = self.qstore
-        qrow_of = qstore._row_of
-        kinds = qstore.kinds
-        min_xs = qstore.min_xs
-        min_ys = qstore.min_ys
-        max_xs = qstore.max_xs
-        max_ys = qstore.max_ys
-        push = updates.push
-        pos = 0
-        for (states, seen), end in zip(metas, ends):
-            if pos < end:
-                # Plan-level dedup guarantees every changed pair is
-                # unique within its cohort: emit them all, in order.
-                for qid, oid, sign in zip(
-                    qids[pos:end], oids[pos:end], signs[pos:end]
-                ):
-                    query = queries[qid]
-                    state = objects[oid]
-                    if sign > 0:
-                        query.answer.add(oid)
-                        state.answered.add(qid)
-                    else:
-                        query.answer.discard(oid)
-                        state.answered.discard(qid)
-                    push(qid, oid, sign)
-                pos = end
-            # Answered sweep: queries the member left entirely behind.
-            if not special:
-                continue
-            for state in states:
-                answered = state.answered
-                if not answered or state.oid not in special:
-                    continue
-                if answered <= seen:
-                    continue
-                location = state.location
-                x = location.x
-                y = location.y
-                oid = state.oid
-                for qid in sorted(answered - seen):
-                    qrow = qrow_of[qid]
-                    kind = kinds[qrow]
-                    if kind == KIND_RANGE:
-                        query = queries[qid]
-                        inside = (
-                            min_xs[qrow] <= x <= max_xs[qrow]
-                            and min_ys[qrow] <= y <= max_ys[qrow]
-                        )
-                        if inside:
-                            if oid not in query.answer:
-                                query.answer.add(oid)
-                                answered.add(qid)
-                                push(qid, oid, 1)
-                        elif oid in query.answer:
-                            query.answer.discard(oid)
-                            answered.discard(qid)
-                            push(qid, oid, -1)
-                    elif kind != KIND_PREDICTIVE:
-                        knn_dirty.add(qid)

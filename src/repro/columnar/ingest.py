@@ -40,13 +40,10 @@ both dicts' first-occurrence orders.
 
 Cohort member lists come out oid-sorted rather than in report order.
 That is safe because every consumer sorts members by oid before any
-emission (``_evaluate_cohort``, the columnar plan builder, and the
-parallel worker all do) — and it lets the parallel planner reuse the
-already-sorted per-cohort oid/coordinate slices as payload columns.
+emission (``_evaluate_cohort`` and the columnar plan builder both do).
 
 Sorted-order equivalence is pinned by the golden ingest tests
-(``tests/columnar/test_ingest_golden.py``) across all four pipelines
-and both backends.
+(``tests/columnar/test_ingest_golden.py``) across every pipeline.
 
 Like the rest of this package, the module imports nothing from
 ``repro.core`` — the engine injects its state class and sentinels.
@@ -56,7 +53,8 @@ from __future__ import annotations
 
 from operator import attrgetter, itemgetter
 
-from repro.columnar.backend import numpy_or_none
+import numpy as np
+
 from repro.grid.cellmath import point_cells_batch
 
 #: C-level column extractors for the report buffer's (location,
@@ -81,7 +79,7 @@ _MAX_SPARSITY = 8
 _SPARSITY_SLACK = 65_536
 
 
-def _cell_runs(cells_sorted, np):
+def _cell_runs(cells_sorted):
     """Group boundaries of a sorted cell array: parallel lists of
     (cell id, run start, run stop) for zipping."""
     n = len(cells_sorted)
@@ -98,18 +96,17 @@ class BatchIngest:
     column and turns a report buffer into the serial pipelines' cohort
     structures in a few array passes."""
 
-    __slots__ = ("engine", "state_cls", "no_cells", "np", "enabled", "_cell_by_oid")
+    __slots__ = ("engine", "state_cls", "no_cells", "enabled", "_cell_by_oid")
 
     def __init__(self, engine, state_cls, no_cells) -> None:
         self.engine = engine
         self.state_cls = state_cls
         self.no_cells = no_cells
-        self.np = numpy_or_none()
-        # Once disabled (no numpy, or a pathologically sparse oid
-        # space), batch ingest stays off for the engine's lifetime:
-        # the serial path does not maintain the dense column, so there
-        # is no consistent state to re-enable from.
-        self.enabled = self.np is not None
+        # Once disabled (a pathologically sparse oid space), batch
+        # ingest stays off for the engine's lifetime: the serial path
+        # does not maintain the dense column, so there is no consistent
+        # state to re-enable from.
+        self.enabled = True
         self._cell_by_oid = None
 
     # ------------------------------------------------------------------
@@ -137,7 +134,6 @@ class BatchIngest:
             return True
         if needed > _MAX_SPARSITY * max(population, 1) + _SPARSITY_SLACK:
             return False
-        np = self.np
         grown = max(needed, 1024)
         if column is not None:
             grown = max(grown, (len(column) * 3) // 2)
@@ -151,20 +147,17 @@ class BatchIngest:
     # The batch kernel
     # ------------------------------------------------------------------
 
-    def group(self, reports, want_columns: bool):
+    def group(self, reports):
         """Apply and group one report buffer.
 
-        Returns ``(point_groups, set_groups, point_columns)`` — the
-        exact structures ``_group_reports`` builds (cohort members
-        oid-sorted), plus per-cohort ``(oids, xs, ys)`` column lists
-        keyed like ``point_groups`` when ``want_columns`` — or ``None``
-        when the kernel cannot run (caller falls back to the serial
-        loop).  Clears the buffer on success, mutates nothing on
+        Returns ``(point_groups, set_groups)`` — the exact structures
+        ``_group_reports`` builds (cohort members oid-sorted) — or
+        ``None`` when the kernel cannot run (caller falls back to the
+        serial loop).  Clears the buffer on success, mutates nothing on
         ``None``.
         """
         if not self.enabled or not reports:
             return None
-        np = self.np
         engine = self.engine
         objects = engine.objects
         oid_list = list(reports.keys())
@@ -209,7 +202,7 @@ class BatchIngest:
         reports.clear()
 
         grid = engine.grid
-        new_cells = point_cells_batch(x_arr, y_arr, grid, np)
+        new_cells = point_cells_batch(x_arr, y_arr, grid)
         column = self._cell_by_oid
         old_cells = column[oid_arr]
 
@@ -237,7 +230,7 @@ class BatchIngest:
         if ostore is not None and len(m_oid):
             if majority_idx is None:
                 ostore.batch_apply(
-                    m_oid, x_arr, y_arr, vx_arr, vy_arr, t_arr, m_new, np
+                    m_oid, x_arr, y_arr, vx_arr, vy_arr, t_arr, m_new
                 )
             else:
                 ostore.batch_apply(
@@ -248,7 +241,6 @@ class BatchIngest:
                     vy_arr[majority_idx],
                     t_arr[majority_idx],
                     m_new,
-                    np,
                 )
 
         # --- cohort grouping: sort by (transition key, oid), find the
@@ -256,7 +248,6 @@ class BatchIngest:
         # order (== the serial dict's insertion order).
         point_groups: dict = {}
         set_groups: dict = {}
-        point_columns: dict | None = {} if want_columns else None
         index = engine.index
         if len(m_oid):
             n_cells = grid.n * grid.n
@@ -288,7 +279,6 @@ class BatchIngest:
                 states_sorted = states_arr[order].tolist()
             else:
                 states_sorted = states_arr[majority_idx][order].tolist()
-            oid_sorted = m_oid[order].tolist()
             # The whole cohort dict is assembled in C: transition keys
             # zipped with member slices, in first-occurrence order.
             slices = list(map(slice, starts_list, stops_list))
@@ -298,23 +288,6 @@ class BatchIngest:
                     map(states_sorted.__getitem__, slices),
                 )
             )
-            if want_columns:
-                if majority_idx is None:
-                    x_sorted = x_arr[order].tolist()
-                    y_sorted = y_arr[order].tolist()
-                else:
-                    x_sorted = x_arr[majority_idx][order].tolist()
-                    y_sorted = y_arr[majority_idx][order].tolist()
-                point_columns = dict(
-                    zip(
-                        point_groups.keys(),
-                        zip(
-                            map(oid_sorted.__getitem__, slices),
-                            map(x_sorted.__getitem__, slices),
-                            map(y_sorted.__getitem__, slices),
-                        ),
-                    )
-                )
 
             # --- grid reassignment, one pass per *cell* rather than per
             # transition: drain every old cell of its departing members,
@@ -337,13 +310,13 @@ class BatchIngest:
                     # contiguous runs of old cell.
                     dep_old = sorted_old[dep_mask]
                     dep_oids = oid_sorted_arr[dep_mask].tolist()
-                    for cell, lo, hi in zip(*_cell_runs(dep_old, np)):
+                    for cell, lo, hi in zip(*_cell_runs(dep_old)):
                         drain(cell, dep_oids[lo:hi])
                 arr_new = sorted_new[moved]
                 arr_order = np.argsort(arr_new, kind="stable")
                 arr_new = arr_new[arr_order]
                 arr_oids = oid_sorted_arr[moved][arr_order].tolist()
-                for cell, lo, hi in zip(*_cell_runs(arr_new, np)):
+                for cell, lo, hi in zip(*_cell_runs(arr_new)):
                     fill(cell, arr_oids[lo:hi])
             column[m_oid] = m_new
 
@@ -407,4 +380,4 @@ class BatchIngest:
                     group_into(set_groups, old_fs, new_fs, state)
                     column[oid] = new_cell
 
-        return point_groups, set_groups, point_columns
+        return point_groups, set_groups

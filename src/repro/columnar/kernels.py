@@ -19,15 +19,15 @@ pipeline replaces that loop with two array passes over the whole batch:
    that invariant through every phase), and NaN old coordinates — new
    objects — test False against every bound.
 
-Kernel contract (both backends)::
+Kernel contract::
 
-    classify_transitions(plan, ostore, qstore, backend)
+    classify_transitions(plan, ostore, qstore)
         -> (qids, oids, signs, cohort_ends)
 
 ``qids``/``oids`` are the public query/object identifiers of the
-*changed* pairs only, as plain Python lists in flat pair order (the
-numpy path maps store rows to identifiers with one vectorized gather
-over the id columns — never per pair in Python); ``signs`` holds
+*changed* pairs only, as plain Python lists in flat pair order (store
+rows map to identifiers with one vectorized gather over the id
+columns — never per pair in Python); ``signs`` holds
 +1/-1; ``cohort_ends[i]`` is the exclusive end of cohort ``i``'s span
 in those lists.  The kernel classifies exactly the pairs the plan
 enumerates, in the plan's order — plan construction has already
@@ -35,7 +35,7 @@ deduplicated candidate entries across a multi-cell cohort's cells
 (first-occurrence order, the mirror of the serial pass's seen-qid
 skip), so every changed pair maps one-to-one onto an emitted update.
 
-The numpy path materialises pair-index arrays for the whole batch
+The kernel materialises pair-index arrays for the whole batch
 (int32: two 4-byte columns per pair) but runs the float work in
 :data:`PAIR_CHUNK`-sized chunks so peak temporary memory stays bounded
 regardless of batch size.
@@ -43,7 +43,7 @@ regardless of batch size.
 
 from __future__ import annotations
 
-from repro.columnar.backend import numpy_or_none
+import numpy as np
 
 #: Pairs per float-kernel chunk (eight float64 temporaries per pair in
 #: flight → ~70 MB peak at this setting).
@@ -56,8 +56,8 @@ class PairPlan:
     * ``ent_parts`` — one sequence of query-store rows per (cohort,
       cell) with at least one candidate entry, in cohort order; each
       part is already in the serial candidate order (partial entries
-      then covering entries, each sorted by qid).  numpy backend: int32
-      ndarrays; python backend: lists.
+      then covering entries, each sorted by qid), as int32 ndarrays or
+      int lists.
     * ``parts_per_cohort[i]`` — how many of those parts belong to
       cohort ``i``.
     * ``ent_counts[i]`` — total candidate entries of cohort ``i``.
@@ -98,32 +98,16 @@ def classify_transitions(
     plan: PairPlan,
     ostore,
     qstore,
-    backend: str,
     chunk_pairs: int = PAIR_CHUNK,
     want_arrays: bool = False,
 ):
     """Run the join + membership classification for one batch.
 
-    Dispatches on ``backend`` (``"numpy"`` or ``"python"``); both
-    implementations honour the contract above and return identical
-    results on identical inputs (tested property).
-
     With ``want_arrays`` a fifth element is returned: the int64
-    ``(qids, oids, signs)`` ndarray triple under the numpy backend
-    (``None`` when there are no changed pairs or under the python
-    backend) — the bulk emitter groups set maintenance from it without
-    re-materialising arrays from the lists.
+    ``(qids, oids, signs)`` ndarray triple (``None`` when there are no
+    changed pairs) — the bulk emitter groups set maintenance from it
+    without re-materialising arrays from the lists.
     """
-    if backend == "numpy":
-        return _classify_numpy(plan, ostore, qstore, chunk_pairs, want_arrays)
-    result = _classify_python(plan, ostore, qstore)
-    return (*result, None) if want_arrays else result
-
-
-def _classify_numpy(
-    plan: PairPlan, ostore, qstore, chunk_pairs: int, want_arrays: bool = False
-):
-    np = numpy_or_none()
     n_cohorts = plan.cohort_count
     if plan.total_pairs == 0:
         empty = ([], [], [], [0] * n_cohorts)
@@ -208,54 +192,3 @@ def _classify_numpy(
     if want_arrays:
         return qids, oids, signs, ends, (qid_arr, oid_arr, sign_arr)
     return qids, oids, signs, ends
-
-
-def _classify_python(plan: PairPlan, ostore, qstore):
-    """Pure-Python fallback: same flat enumeration, scalar columns."""
-    xs = ostore.xs
-    ys = ostore.ys
-    old_xs = ostore.old_xs
-    old_ys = ostore.old_ys
-    oid_col = ostore.oids
-    min_xs = qstore.min_xs
-    min_ys = qstore.min_ys
-    max_xs = qstore.max_xs
-    max_ys = qstore.max_ys
-    qid_col = qstore.qids
-
-    qids: list[int] = []
-    oids: list[int] = []
-    signs: list[int] = []
-    cohort_ends: list[int] = []
-    ent_parts = plan.ent_parts
-    obj_rows = plan.obj_rows
-    part_index = 0
-    obj_index = 0
-    for cohort, m in enumerate(plan.obj_counts):
-        members = obj_rows[obj_index : obj_index + m]
-        obj_index += m
-        for _ in range(plan.parts_per_cohort[cohort]):
-            part = ent_parts[part_index]
-            part_index += 1
-            for erow in part:
-                lx = min_xs[erow]
-                hx = max_xs[erow]
-                ly = min_ys[erow]
-                hy = max_ys[erow]
-                qid = qid_col[erow]
-                for orow in members:
-                    in_new = (
-                        lx <= xs[orow] <= hx and ly <= ys[orow] <= hy
-                    )
-                    # NaN old coordinates compare False: new objects
-                    # were members of nothing.
-                    in_old = (
-                        lx <= old_xs[orow] <= hx
-                        and ly <= old_ys[orow] <= hy
-                    )
-                    if in_new != in_old:
-                        qids.append(qid)
-                        oids.append(oid_col[orow])
-                        signs.append(1 if in_new else -1)
-        cohort_ends.append(len(qids))
-    return qids, oids, signs, cohort_ends

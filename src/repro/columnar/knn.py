@@ -18,10 +18,7 @@ two:
    stay bit-identical to the scalar search.
 
 Tiny rings skip the vectorized pass entirely (numpy call overhead
-exceeds the work below ~8 candidates).  The pure-Python backend simply
-*is* the scalar search: the engine dispatches to
-:func:`repro.core.knn.knn_search` when the columnar backend is
-``"python"``.
+exceeds the work below ~8 candidates).
 """
 
 from __future__ import annotations
@@ -29,7 +26,7 @@ from __future__ import annotations
 import heapq
 import math
 
-from repro.columnar.backend import numpy_or_none
+import numpy as np
 
 #: Below this many ring candidates the scalar path wins.
 MIN_VECTOR_CANDIDATES = 8
@@ -42,11 +39,10 @@ def knn_search_columnar(index, ostore, center, k: int):
     """The ``(distance, oid)`` list of the k nearest stored objects.
 
     Drop-in equivalent of :func:`repro.core.knn.knn_search` over a
-    :class:`~repro.columnar.store.ColumnarObjectStore` (numpy backend).
+    :class:`~repro.columnar.store.ColumnarObjectStore`.
     """
     if k <= 0:
         raise ValueError(f"k must be positive, got {k}")
-    np = numpy_or_none()
     grid = index.grid
     home = grid.cell_of(center)
     max_radius = grid.max_ring_radius(home)

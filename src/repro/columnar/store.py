@@ -12,11 +12,10 @@ them, so building a batch kernel's input is array slicing, never a
 rebuild.  Two design rules:
 
 * Columns are stdlib ``array.array`` buffers.  Scalar writes (one
-  report, one query move) cost an index assignment; when numpy is
-  available the kernels view the very same buffers zero-copy through
-  ``np.frombuffer`` — one store serves both backends.  Views must be
-  re-taken after any append (``array`` reallocates); the kernels take
-  them fresh per batch.
+  report, one query move) cost an index assignment, and the numpy
+  kernels view the very same buffers zero-copy through
+  ``np.frombuffer``.  Views must be re-taken after any append
+  (``array`` reallocates); the kernels take them fresh per batch.
 * Rows are dense and unordered, with swap-remove deletion.  An
   identifier's row can change on *any* removal, so row handles are only
   valid between store mutations — the evaluator resolves rows per
@@ -31,10 +30,8 @@ the kernel run without any per-pair membership lookup.  New objects get
 NaN old coordinates — every containment test on NaN is False, exactly
 the "was not a member of anything" a fresh object needs.
 
-Query rows mirror :mod:`repro.parallel.worker`'s wire descriptors:
-``(kind, min_x, min_y, max_x, max_y)`` with zeroed bounds for k-NN and
-predictive kinds, so the parallel planner can serve descriptor payloads
-straight from this store.
+Query rows are descriptors ``(kind, min_x, min_y, max_x, max_y)`` with
+zeroed bounds for k-NN and predictive kinds.
 
 :class:`ColumnarAnswerStore` completes the mirror set: answer
 membership as sorted per-query oid arrays, lazily rebuilt from the
@@ -52,11 +49,9 @@ from __future__ import annotations
 from array import array
 from itertools import repeat
 
-from repro.columnar.backend import numpy_or_none
+import numpy as np
 
-#: Query-kind codes.  MUST match the wire constants in
-#: :mod:`repro.parallel.worker` (which re-declares them because worker
-#: modules deliberately import nothing from the package).
+#: Query-kind codes.
 KIND_RANGE = 0
 KIND_KNN = 1
 KIND_PREDICTIVE = 2
@@ -64,14 +59,10 @@ KIND_PREDICTIVE = 2
 _NAN = float("nan")
 
 
-def _empty_f64_view(np):
-    return np.empty(0, dtype=np.float64)
-
-
-def _f64_view(np, column: array):
+def _f64_view(column: array):
     """Zero-copy float64 numpy view over an ``array('d')`` column."""
     if not column:
-        return _empty_f64_view(np)
+        return np.empty(0, dtype=np.float64)
     return np.frombuffer(column, dtype=np.float64)
 
 
@@ -161,24 +152,25 @@ class ColumnarObjectStore:
             self.cells[row] = cell
         return row
 
-    def batch_apply(self, oids, xs, ys, vxs, vys, ts, cells, np=None) -> None:
+    def batch_apply(self, oids, xs, ys, vxs, vys, ts, cells) -> None:
         """Apply one whole report buffer in a few array passes.
 
         Equivalent to ``apply_report`` once per element — the oids must
         be **distinct** within the batch (the engine's report buffer is
-        a dict, so they are).  Without numpy (``np=None``) this loops
-        the scalar path over plain sequences; under numpy the columns
-        must be aligned ndarrays (float64 coordinates/velocities/times,
-        int64 cells): new rows are bulk-appended via ``frombytes`` and
-        existing rows updated by gather/scatter through zero-copy
-        ``frombuffer`` views (``array.array`` buffers are writable, so
-        scatters write through).
+        a dict, so they are).  Columns may be any aligned sequences;
+        they are lifted to ndarrays (float64 coordinates/velocities/
+        times, int64 oids and cells).  New rows are bulk-appended via
+        ``frombytes`` and existing rows updated by gather/scatter
+        through zero-copy ``frombuffer`` views (``array.array`` buffers
+        are writable, so scatters write through).
         """
-        if np is None:
-            apply = self.apply_report
-            for i in range(len(oids)):
-                apply(oids[i], xs[i], ys[i], vxs[i], vys[i], ts[i], cells[i])
-            return
+        oids = np.asarray(oids, dtype=np.int64)
+        xs = np.asarray(xs, dtype=np.float64)
+        ys = np.asarray(ys, dtype=np.float64)
+        vxs = np.asarray(vxs, dtype=np.float64)
+        vys = np.asarray(vys, dtype=np.float64)
+        ts = np.asarray(ts, dtype=np.float64)
+        cells = np.asarray(cells, dtype=np.int64)
         row_of = self._row_of
         get = row_of.get
         count = len(oids)
@@ -251,20 +243,18 @@ class ColumnarObjectStore:
     def coord_views(self):
         """Fresh zero-copy numpy views ``(x, y, old_x, old_y)``.
 
-        Only valid until the next append/remove; numpy backend only.
+        Only valid until the next append/remove.
         """
-        np = numpy_or_none()
         return (
-            _f64_view(np, self.xs),
-            _f64_view(np, self.ys),
-            _f64_view(np, self.old_xs),
-            _f64_view(np, self.old_ys),
+            _f64_view(self.xs),
+            _f64_view(self.ys),
+            _f64_view(self.old_xs),
+            _f64_view(self.old_ys),
         )
 
     def xy_views(self):
-        """Fresh zero-copy numpy views ``(x, y)`` (numpy backend only)."""
-        np = numpy_or_none()
-        return _f64_view(np, self.xs), _f64_view(np, self.ys)
+        """Fresh zero-copy numpy views ``(x, y)``."""
+        return _f64_view(self.xs), _f64_view(self.ys)
 
 
 class ColumnarQueryStore:
@@ -361,8 +351,7 @@ class ColumnarQueryStore:
         self.max_ys.pop()
 
     def descriptor(self, qid: int) -> tuple[int, float, float, float, float]:
-        """``(kind, min_x, min_y, max_x, max_y)`` — the exact wire
-        descriptor format :mod:`repro.parallel.worker` consumes."""
+        """``(kind, min_x, min_y, max_x, max_y)`` for ``qid``."""
         row = self._row_of[qid]
         return (
             self.kinds[row],
@@ -372,24 +361,16 @@ class ColumnarQueryStore:
             self.max_ys[row],
         )
 
-    def descriptors(
-        self, qids
-    ) -> dict[int, tuple[int, float, float, float, float]]:
-        """Descriptor rows for ``qids`` as a payload-ready dict."""
-        return {qid: self.descriptor(qid) for qid in qids}
-
     def bounds_views(self):
         """Fresh zero-copy numpy views ``(min_x, min_y, max_x, max_y)``.
 
-        Only valid until the next ``put`` of a new qid or ``remove``;
-        numpy backend only.
+        Only valid until the next ``put`` of a new qid or ``remove``.
         """
-        np = numpy_or_none()
         return (
-            _f64_view(np, self.min_xs),
-            _f64_view(np, self.min_ys),
-            _f64_view(np, self.max_xs),
-            _f64_view(np, self.max_ys),
+            _f64_view(self.min_xs),
+            _f64_view(self.min_ys),
+            _f64_view(self.max_xs),
+            _f64_view(self.max_ys),
         )
 
 
@@ -409,7 +390,7 @@ class ColumnarAnswerStore:
     """Answer membership as sorted per-query oid arrays.
 
     Each entry mirrors one query's live ``answer`` set as an ascending
-    ``int64`` ndarray (numpy backend) or sorted list (python backend).
+    ``int64`` ndarray.
     Entries are built lazily on :meth:`get` and stay valid until the
     engine **invalidates** them: a length check catches most drift
     defensively, but same-length membership swaps (one oid out, one
@@ -428,14 +409,12 @@ class ColumnarAnswerStore:
     __slots__ = (
         "_arrays",
         "version",
-        "_np",
         "_m_hits",
         "_m_misses",
         "_m_invalidations",
     )
 
-    def __init__(self, registry=None, backend: str = "numpy") -> None:
-        self._np = numpy_or_none() if backend == "numpy" else None
+    def __init__(self, registry=None) -> None:
         self._arrays: dict[int, object] = {}
         self.version = 0
         if registry is not None:
@@ -468,12 +447,8 @@ class ColumnarAnswerStore:
             self._m_hits.inc()
             return arr
         self._m_misses.inc()
-        np = self._np
-        if np is not None:
-            arr = np.fromiter(live, dtype=np.int64, count=len(live))
-            arr.sort()
-        else:
-            arr = sorted(live)
+        arr = np.fromiter(live, dtype=np.int64, count=len(live))
+        arr.sort()
         self._arrays[qid] = arr
         self.version += 1
         return arr
@@ -503,27 +478,16 @@ class ColumnarAnswerStore:
 
         ``live_of(qid)`` supplies each query's live answer set; rows
         come from :meth:`get`, so repeated snapshots are cache hits.
-        Under numpy both outputs are ``int64`` ndarrays; under the
-        python backend, plain lists.
+        Both outputs are ``int64`` ndarrays.
         """
-        np = self._np
-        if np is not None:
-            parts = [self.get(qid, live_of(qid)) for qid in qids]
-            offsets = np.zeros(len(parts) + 1, dtype=np.int64)
-            if parts:
-                np.cumsum(
-                    np.fromiter(
-                        map(len, parts), dtype=np.int64, count=len(parts)
-                    ),
-                    out=offsets[1:],
-                )
-                values = np.concatenate(parts)
-            else:
-                values = np.empty(0, dtype=np.int64)
-            return offsets, values
-        offsets = [0]
-        values: list[int] = []
-        for qid in qids:
-            values.extend(self.get(qid, live_of(qid)))
-            offsets.append(len(values))
+        parts = [self.get(qid, live_of(qid)) for qid in qids]
+        offsets = np.zeros(len(parts) + 1, dtype=np.int64)
+        if parts:
+            np.cumsum(
+                np.fromiter(map(len, parts), dtype=np.int64, count=len(parts)),
+                out=offsets[1:],
+            )
+            values = np.concatenate(parts)
+        else:
+            values = np.empty(0, dtype=np.int64)
         return offsets, values

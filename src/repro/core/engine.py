@@ -38,14 +38,11 @@ per cohort; k-NN dirty-marking and predictive refresh are driven off the
 same cohorts.  The seed per-object path is retained as
 ``pipeline="per-object"`` — it is the semantic reference the golden
 equivalence tests and ``benchmarks/bench_bulk_pipeline.py`` compare
-against.  ``pipeline="parallel"`` fans the cohort membership pass out
-over row-striped grid shards on a worker pool (:mod:`repro.parallel`)
-and merges per-shard deltas back in serial cohort order, emitting a
-stream byte-identical to ``"cell-batched"``.  ``pipeline="columnar"``
-keeps the same cohort grouping but replaces the per-pair Python loop
-with batch array kernels over struct-of-arrays mirrors of object and
-query state (:mod:`repro.columnar`) — numpy when available, stdlib
-``array`` columns otherwise — again emitting a byte-identical stream.
+against.  ``pipeline="columnar"`` keeps the same cohort grouping but
+replaces the per-pair Python loop with numpy batch kernels over
+struct-of-arrays mirrors of object and query state
+(:mod:`repro.columnar`), emitting a stream byte-identical to
+``"cell-batched"``.
 
 Every phase of ``evaluate()`` is wall-clock timed: each phase runs
 inside a :class:`repro.obs.Tracer` span (exported to Chrome trace JSON)
@@ -75,7 +72,6 @@ from repro.columnar import (
     ColumnarObjectStore,
     ColumnarQueryStore,
     knn_search_columnar,
-    resolve_backend,
 )
 from repro.core.knn import knn_search
 from repro.core.state import (
@@ -86,7 +82,7 @@ from repro.core.state import (
     QueryState,
     RangeQueryState,
 )
-from repro.core.updates import Update, UpdateBatch, UpdateList
+from repro.core.updates import UpdateBatch
 from repro.geometry import Point, Rect, Velocity
 from repro.grid import Grid, GridIndex
 from repro.obs import (
@@ -97,12 +93,12 @@ from repro.obs import (
     MetricsRegistry,
     Tracer,
 )
-from repro.parallel.merge import merge_ordered
-from repro.parallel.planner import build_shard_payloads, plan_shards
-from repro.parallel.pool import ParallelConfig, WorkerPool
-from repro.parallel.worker import evaluate_shard
 
 DEFAULT_WORLD = Rect(0.0, 0.0, 1.0, 1.0)
+
+#: The valid ``pipeline`` names: the benchmarked default first, then
+#: the paper-faithful reference and the numpy batch-kernel pipeline.
+PIPELINES = ("cell-batched", "per-object", "columnar")
 
 #: Shared "object is new, no previous cells" sentinel for the batched
 #: pipeline's transition grouping.
@@ -217,32 +213,11 @@ class IncrementalEngine:
         is the reference path that walks one report at a time; it emits
         the same update *set* per query (order within the object-report
         and predictive phases may differ) and exists for equivalence
-        testing and benchmarking.  ``"parallel"`` is the cell-batched
-        pipeline with the cohort membership pass fanned out over a
-        worker pool: the grid is split into row-striped shards, each
-        shard's cohorts are shipped as flat snapshots, shard-boundary
-        cohorts run on the coordinator, and the per-shard deltas merge
-        back in serial cohort order — the emitted update stream is
-        byte-identical to ``"cell-batched"``.  ``"columnar"`` keeps the
+        testing and benchmarking.  ``"columnar"`` keeps the
         cell-batched cohort grouping but evaluates the membership pass
-        as batch array kernels over struct-of-arrays state mirrors
-        (:mod:`repro.columnar`); the update stream is byte-identical to
-        ``"cell-batched"`` as well.
-    columnar_backend:
-        Only meaningful with ``pipeline="columnar"``: ``"numpy"``
-        (vectorized kernels; raises if numpy is missing), ``"python"``
-        (pure-stdlib ``array`` kernels), or ``"auto"`` (default —
-        numpy when importable, honouring the ``REPRO_COLUMNAR_BACKEND``
-        environment override).
-    parallelism:
-        Only meaningful with ``pipeline="parallel"``: the shard/worker
-        count as an int, or a full :class:`repro.parallel.ParallelConfig`
-        (worker count, process/thread backend, inline-evaluation
-        threshold).  ``None`` means ``ParallelConfig()`` —
-        ``os.cpu_count()`` workers, processes when more than one.
-        Engines running a parallel pipeline own a lazily-started
-        worker pool; call :meth:`close` (or use the engine as a
-        context manager) to release it.
+        as numpy batch kernels over struct-of-arrays state mirrors
+        (:mod:`repro.columnar`); its update stream is byte-identical to
+        ``"cell-batched"``.  :data:`PIPELINES` lists the valid names.
     registry:
         The :class:`~repro.obs.MetricsRegistry` carrying the engine's
         counters, phase-second series, and grid-occupancy samples.
@@ -256,18 +231,15 @@ class IncrementalEngine:
         server shares it so cycle/downlink spans nest around the
         engine's.  Pass a :class:`repro.obs.NullTracer` to disable
         trace recording (phase-second counters keep working).
-    emit_mode:
-        ``"batch"`` (default) emits the update stream as an
-        :class:`~repro.core.updates.UpdateBatch` — three parallel
-        columns appended without per-change :class:`Update`
-        allocation, materialised lazily on iteration.
-        ``"materialized"`` emits a ``list[Update]`` through the same
-        call sites (an :class:`~repro.core.updates.UpdateList`); it is
-        the measurement baseline ``benchmarks/bench_columnar.py`` holds
-        the batch representation against, and an escape hatch for
-        callers that require eager elements.  Both modes produce the
-        same values in the same order.
+
+    Every pipeline emits its update stream as an
+    :class:`~repro.core.updates.UpdateBatch`.  ``emit_mode`` (always
+    ``"batch"``) and ``columnar_backend`` (``"numpy"`` under the
+    columnar pipeline, ``None`` otherwise) remain readable as constant
+    attributes for callers that record the engine's configuration.
     """
+
+    emit_mode = "batch"
 
     def __init__(
         self,
@@ -275,49 +247,20 @@ class IncrementalEngine:
         grid_size: int = 64,
         prediction_horizon: float = 60.0,
         pipeline: str = "cell-batched",
-        parallelism: "int | ParallelConfig | None" = None,
-        columnar_backend: str = "auto",
         registry: MetricsRegistry | None = None,
         tracer: Tracer | None = None,
         freshness: "FreshnessTracker | None" = None,
         recorder: "FlightRecorder | None" = None,
-        emit_mode: str = "batch",
     ):
         if prediction_horizon < 0:
             raise ValueError(
                 f"prediction_horizon must be >= 0, got {prediction_horizon}"
             )
-        if emit_mode not in ("batch", "materialized"):
+        if pipeline not in PIPELINES:
             raise ValueError(
-                f"emit_mode must be 'batch' or 'materialized', got {emit_mode!r}"
+                f"pipeline must be one of {PIPELINES}, got {pipeline!r}"
             )
-        self.emit_mode = emit_mode
-        if pipeline not in (
-            "cell-batched",
-            "per-object",
-            "parallel",
-            "columnar",
-        ):
-            raise ValueError(
-                "pipeline must be 'cell-batched', 'per-object', 'parallel' "
-                f"or 'columnar', got {pipeline!r}"
-            )
-        # Resolved before any state exists so a bad backend request
-        # fails fast; None for the pipelines that never touch kernels.
-        self.columnar_backend = (
-            resolve_backend(columnar_backend) if pipeline == "columnar" else None
-        )
-        if isinstance(parallelism, ParallelConfig):
-            self.parallel_config = parallelism
-        elif parallelism is None:
-            self.parallel_config = ParallelConfig()
-        else:
-            self.parallel_config = ParallelConfig(workers=int(parallelism))
-        self._worker_pool: WorkerPool | None = None
-        # Fault injection: forwarded to the worker pool on creation
-        # (``hook(payload) -> bool``; True crashes that shard's future).
-        # Exercises the reset-and-rerun-inline recovery path.
-        self.worker_crash_hook = None
+        self.columnar_backend = "numpy" if pipeline == "columnar" else None
         self.grid = Grid(world, grid_size)
         self.index = GridIndex(self.grid)
         self.prediction_horizon = prediction_horizon
@@ -338,16 +281,16 @@ class IncrementalEngine:
         # this instead of scanning every query of every kind.
         self._predictive_qids: set[int] = set()
         # Struct-of-arrays mirrors (repro.columnar).  The query store is
-        # maintained under *every* pipeline: registrations and moves
-        # cost a few array writes, and in exchange the parallel planner
-        # serves its wire descriptors straight from the columns and the
-        # columnar kernels get their bounds arrays with no rebuild.
-        # The object store only exists under pipeline="columnar".
+        # maintained under every pipeline, so there is one registration
+        # path; it costs a few array writes per registration or move,
+        # and gives the columnar kernels their bounds arrays with no
+        # rebuild.  The object store, the columnar evaluator and batch
+        # report ingest only exist under pipeline="columnar".
         self._qstore = ColumnarQueryStore()
         self._knn_qids: set[int] = set()
         self._ostore: ColumnarObjectStore | None = None
         self._columnar_evaluator: ColumnarEvaluator | None = None
-        self._use_columnar_knn = False
+        self._batch_ingest: BatchIngest | None = None
         self.registry = registry if registry is not None else MetricsRegistry()
         self.tracer = tracer if tracer is not None else Tracer()
         # Freshness follows the registry's on/off state unless injected:
@@ -379,20 +322,6 @@ class IncrementalEngine:
         }
         self._m_objects = self.registry.gauge("engine_objects")
         self._m_queries = self.registry.gauge("engine_queries")
-        if pipeline == "parallel":
-            # Per-shard wall time as reported by the workers themselves,
-            # plus the operator's skew view: max/mean shard seconds of
-            # the last dispatched batch (1.0 = perfectly balanced).
-            self._m_shard_seconds = self.registry.histogram(
-                "engine_shard_seconds"
-            )
-            self._m_shard_imbalance = self.registry.gauge(
-                "engine_shard_imbalance"
-            )
-            self._m_sharded_cohorts = counter("engine_sharded_cohorts_total")
-            self._m_boundary_cohorts = counter(
-                "engine_boundary_cohorts_total"
-            )
         if pipeline == "columnar":
             self._ostore = ColumnarObjectStore()
             self._columnar_evaluator = ColumnarEvaluator(
@@ -403,25 +332,12 @@ class IncrementalEngine:
                 self.objects,
                 self.queries,
                 self._knn_qids,
-                self.columnar_backend,
                 self.registry,
                 self.tracer,
             )
-            # The vectorized ring search needs the coordinate columns as
-            # ndarrays; the python backend's scalar search *is* the core
-            # knn_search, so dispatch stays on the reference path there.
-            self._use_columnar_knn = self.columnar_backend == "numpy"
-        # Batch report ingest (phase 5a in array passes) serves the two
-        # pipelines whose grouping cost is not the measurement baseline:
-        # cell-batched stays on the serial loop as the equivalence (and
-        # benchmark) reference.  Under the forced python columnar
-        # backend the kernel stays off too — the stdlib leg then
-        # exercises the scalar grouping plus the store's batched
-        # python write path.
-        self._batch_ingest: BatchIngest | None = None
-        if pipeline == "parallel" or (
-            pipeline == "columnar" and self.columnar_backend == "numpy"
-        ):
+            # Batch report ingest (phase 5a in array passes); the
+            # cell-batched pipeline stays on the serial loop as the
+            # equivalence (and benchmark) reference.
             self._batch_ingest = BatchIngest(self, ObjectState, _NO_CELLS)
         self._m_ingest_seconds = counter("engine_ingest_seconds_total")
 
@@ -539,28 +455,6 @@ class IncrementalEngine:
             raise KeyError(f"cannot unregister unknown query {qid}")
 
     # ------------------------------------------------------------------
-    # Lifecycle
-    # ------------------------------------------------------------------
-
-    def close(self) -> None:
-        """Release the parallel worker pool, if one was ever started.
-
-        A no-op for serial pipelines and for parallel engines that only
-        ever evaluated inline; safe to call repeatedly.  The engine
-        stays usable afterwards — the next large parallel batch simply
-        starts a fresh pool.
-        """
-        if self._worker_pool is not None:
-            self._worker_pool.close()
-            self._worker_pool = None
-
-    def __enter__(self) -> "IncrementalEngine":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
-    # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
 
@@ -617,7 +511,7 @@ class IncrementalEngine:
     # Bulk evaluation
     # ------------------------------------------------------------------
 
-    def evaluate(self, now: float | None = None) -> "UpdateBatch | UpdateList":
+    def evaluate(self, now: float | None = None) -> UpdateBatch:
         """Apply all buffered input and return the incremental updates.
 
         Phases: unregistrations, object removals, new-query first-time
@@ -626,10 +520,9 @@ class IncrementalEngine:
         previously reported answers reproduces the current answers
         exactly (tested property).
 
-        The return value is an :class:`~repro.core.updates.UpdateBatch`
-        (or a ``list[Update]`` under ``emit_mode="materialized"``) —
-        sequence-shaped either way: iterate, index, and compare it like
-        the list it used to be.
+        The return value is an :class:`~repro.core.updates.UpdateBatch`,
+        which is sequence-shaped: iterate, index, and compare it like a
+        ``list[Update]``.
 
         All buffered input is validated *before* any phase mutates state
         (a buffered move of an unknown query raises ``KeyError`` here,
@@ -660,9 +553,7 @@ class IncrementalEngine:
         self._m_query_moves.inc(len(self._pending_moves))
         self._m_query_unregistrations.inc(len(self._pending_unregistrations))
 
-        updates: UpdateBatch | UpdateList = (
-            UpdateBatch() if self.emit_mode == "batch" else UpdateList()
-        )
+        updates = UpdateBatch()
         knn_dirty: set[int] = set(self._underfull_knn)
         # Cells whose object population (or a resident's motion state)
         # changed this evaluation — drives the predictive refresh.
@@ -686,11 +577,7 @@ class IncrementalEngine:
             with span("query_moves", phase_counters["query_moves"]):
                 self._apply_query_moves(updates, knn_dirty, dirty_predictive)
             with span("object_reports", phase_counters["object_reports"]):
-                if pipeline == "parallel":
-                    self._apply_object_reports_parallel(
-                        updates, knn_dirty, churned_cells
-                    )
-                elif pipeline == "columnar":
+                if pipeline == "columnar":
                     self._apply_object_reports_columnar(
                         updates, knn_dirty, churned_cells
                     )
@@ -1120,30 +1007,26 @@ class IncrementalEngine:
         reports.clear()
         return point_groups, set_groups
 
-    def _group_reports_batched(self, want_columns: bool = False):
+    def _group_reports_batched(self):
         """Phase 5a via :class:`~repro.columnar.ingest.BatchIngest` when
         it can run, the serial loop otherwise.  Returns ``(point_groups,
-        set_groups, point_columns)``; ``point_columns`` is ``None``
-        unless the batch kernel ran with ``want_columns`` (the parallel
-        planner's payload columns)."""
+        set_groups)``."""
         ingest = self._batch_ingest
         if ingest is not None and ingest.enabled:
-            grouped = ingest.group(self._pending_reports, want_columns)
+            grouped = ingest.group(self._pending_reports)
             if grouped is not None:
                 return grouped
-        point_groups, set_groups = self._group_reports()
-        return point_groups, set_groups, None
+        return self._group_reports()
 
     def _iter_cohorts(self, point_groups, set_groups, churned_cells: set[int]):
         """Phase 5b's work list: yield ``(cells, states, stay_put,
         point_pair)`` per transition cohort, in the exact order the
-        cell-batched pipeline evaluates (and therefore emits) them —
-        the parallel pipeline's sequence numbers come from this order.
+        cell-batched pipeline evaluates (and therefore emits) them.
         Accumulates cell churn for the predictive refresh as a side
-        effect.  ``cells`` is always an ordered tuple: the parallel
-        planner ships it to workers verbatim, and tuple-izing a
-        frozenset here preserves the iteration order the serial pass
-        would have used.
+        effect.  ``cells`` is always an ordered tuple: the columnar
+        evaluator keys its multi-cell plan cache on it, and
+        tuple-izing a frozenset here preserves the iteration order the
+        serial pass would have used.
         """
         for (old_cell, new_cell), states in point_groups.items():
             churned_cells.add(new_cell)
@@ -1178,7 +1061,7 @@ class IncrementalEngine:
         if not self._pending_reports:
             return
         with self.tracer.span("report_ingest", self._m_ingest_seconds):
-            point_groups, set_groups, __ = self._group_reports_batched()
+            point_groups, set_groups = self._group_reports_batched()
         cohorts = list(
             self._iter_cohorts(point_groups, set_groups, churned_cells)
         )
@@ -1190,172 +1073,6 @@ class IncrementalEngine:
                 cohorts=len(cohorts),
                 emitted=len(updates) - emitted_before,
             )
-
-    def _apply_object_reports_parallel(
-        self, updates, knn_dirty: set[int], churned_cells: set[int]
-    ) -> None:
-        """Parallel pipeline: fan the cohort membership pass out over
-        row-striped grid shards.
-
-        Phase 5a (state + index updates, transition grouping) runs on
-        the coordinator exactly as in the cell-batched pipeline — it
-        mutates shared structures and is cheap relative to the join.
-        The planner then assigns every cohort either to the single
-        shard owning all its cells or to the boundary set; shard work
-        ships to the pool as flat snapshots, boundary cohorts run here
-        while the workers chew, and the merge re-emits everything in
-        serial cohort order so the update stream is byte-identical to
-        ``pipeline="cell-batched"``.
-
-        Small batches (fewer than ``parallel_config.min_batch``
-        buffered reports), single-worker configs, and single-cohort
-        batches skip the dispatch entirely and run the serial cohort
-        loop — same output, none of the snapshot overhead.
-        """
-        n_reports = len(self._pending_reports)
-        if not n_reports:
-            return
-        with self.tracer.span("report_ingest", self._m_ingest_seconds):
-            point_groups, set_groups, point_columns = (
-                self._group_reports_batched(want_columns=True)
-            )
-        cohorts = list(
-            self._iter_cohorts(point_groups, set_groups, churned_cells)
-        )
-        config = self.parallel_config
-        cell_cache: dict[int, _CellCandidates] = {}
-        if (
-            config.workers <= 1
-            or n_reports < config.min_batch
-            or len(cohorts) < 2
-        ):
-            for cells, states, stay_put, point_pair in cohorts:
-                self._evaluate_cohort(
-                    cells,
-                    states,
-                    updates,
-                    knn_dirty,
-                    cell_cache,
-                    stay_put,
-                    point_pair=point_pair,
-                )
-            return
-
-        tracer = self.tracer
-        recorder = self.recorder
-        # Trace context crosses the pool inside the payload: the current
-        # span id (the object_reports span) parents every worker's phase
-        # spans, and the dispatch anchor lets record_remote re-express
-        # worker-relative timings on the coordinator clock.
-        parent_span_id = tracer.current_span_id
-        with tracer.span("shard_plan"):
-            plan = plan_shards(cohorts, self.grid, config.workers)
-            # Batch-ingested point cohorts ship their payload rows from
-            # the kernel's already-sorted column slices; set cohorts
-            # (and serial-fallback rounds) walk member states as before.
-            cohort_columns = None
-            if point_columns is not None:
-                cohort_columns = [
-                    point_columns[key] for key in point_groups
-                ]
-                cohort_columns.extend([None] * len(set_groups))
-            payloads = build_shard_payloads(
-                plan,
-                self.grid,
-                self.index,
-                self.queries,
-                self._qstore,
-                trace_ctx=(parent_span_id,),
-                cohort_columns=cohort_columns,
-            )
-        self._m_sharded_cohorts.inc(plan.dispatched)
-        self._m_boundary_cohorts.inc(len(plan.boundary))
-        if self._worker_pool is None:
-            self._worker_pool = WorkerPool(config)
-        pool = self._worker_pool
-        pool.crash_hook = self.worker_crash_hook
-        pool.recorder = recorder if recorder.enabled else None
-        dispatch_anchor = tracer.now()
-        futures = pool.submit(evaluate_shard, payloads)
-        recorder.record(
-            "shard_dispatch",
-            shards=len(payloads),
-            cohorts=plan.dispatched,
-            boundary=len(plan.boundary),
-        )
-
-        # Boundary cohorts overlap with the in-flight shard work: they
-        # touch only their own objects, and per-pair outcomes are
-        # independent of the snapshot-isolated workers.
-        boundary_updates: dict[int, object] = {}
-        with tracer.span("boundary_cohorts"):
-            for seq, cells, states, stay_put, point_pair in plan.boundary:
-                cohort_updates = updates.__class__()
-                self._evaluate_cohort(
-                    cells,
-                    states,
-                    cohort_updates,
-                    knn_dirty,
-                    cell_cache,
-                    stay_put,
-                    point_pair=point_pair,
-                )
-                boundary_updates[seq] = cohort_updates
-
-        shard_deltas: dict[int, list[tuple[int, int, int]]] = {}
-        shard_seconds: list[float] = []
-        for payload, future in zip(payloads, futures):
-            with tracer.span(f"shard-{payload[0]}"):
-                try:
-                    __, elapsed, results, remote = future.result()
-                except Exception as exc:
-                    # A dying worker cannot have corrupted anything —
-                    # payloads are pure snapshots — so reset the pool
-                    # and run this shard's snapshot inline.
-                    recorder.trigger(
-                        "worker_crash",
-                        shard=payload[0],
-                        error=type(exc).__name__,
-                    )
-                    pool.reset()
-                    __, elapsed, results, remote = evaluate_shard(payload)
-            # Re-anchor the worker's phase spans under the dispatching
-            # span: worker timings are relative to its own start, which
-            # is never earlier than the dispatch, so [anchor, anchor +
-            # elapsed] nests inside this cycle's object_reports span.
-            span_parent, remote_spans = remote
-            tracer.record_remote(
-                remote_spans,
-                dispatch_anchor,
-                tid=payload[0] + 1,
-                parent_id=span_parent,
-            )
-            shard_seconds.append(elapsed)
-            self._m_shard_seconds.observe(elapsed)
-            for seq, deltas, knn_qids in results:
-                if deltas:
-                    shard_deltas[seq] = deltas
-                if knn_qids:
-                    knn_dirty.update(knn_qids)
-        if shard_seconds:
-            mean = sum(shard_seconds) / len(shard_seconds)
-            self._m_shard_imbalance.set(
-                max(shard_seconds) / mean if mean > 0.0 else 1.0
-            )
-        with tracer.span("shard_merge"):
-            boundary_emitted, shard_emitted = merge_ordered(
-                plan.total,
-                boundary_updates,
-                shard_deltas,
-                self.queries,
-                self.objects,
-                updates,
-            )
-        recorder.record(
-            "shard_merge",
-            boundary_emitted=boundary_emitted,
-            shard_emitted=shard_emitted,
-        )
 
     @staticmethod
     def _group_into(groups, old_cells, new_cells, state):
@@ -1586,7 +1303,7 @@ class IncrementalEngine:
         the entrant" circle maintenance, with the search doubling as the
         replacement lookup when members depart.
         """
-        if self._use_columnar_knn:
+        if self._ostore is not None:
             ranked = knn_search_columnar(
                 self.index, self._ostore, query.center, query.k
             )
@@ -1690,11 +1407,11 @@ class IncrementalEngine:
         next_flip = math.inf
         ordered = sorted(candidates)
         evaluator = self._columnar_evaluator
-        if (
-            not compute_flip
-            and evaluator is not None
-            and ordered
-            and evaluator.refresh_predictive(
+        if not compute_flip and evaluator is not None and ordered:
+            # Columnar delta path: membership and emission are handled
+            # entirely from the sorted answer array (candidates ⊇
+            # answer, so ordered[inside] is the complete new answer).
+            evaluator.refresh_predictive(
                 qid,
                 query,
                 ordered,
@@ -1703,10 +1420,6 @@ class IncrementalEngine:
                 self.prediction_horizon,
                 updates,
             )
-        ):
-            # Columnar delta path: membership and emission are handled
-            # entirely from the sorted answer array (candidates ⊇
-            # answer, so ordered[inside] is the complete new answer).
             query.next_flip = float("-inf")
             return
         flags = None
@@ -1717,8 +1430,7 @@ class IncrementalEngine:
             evaluator.invalidate_answer(qid)
         if evaluator is not None and ordered:
             # Columnar pipeline: one vectorized membership pass over the
-            # candidate rows (bit-identical to the scalar check; None
-            # under the pure-Python backend).
+            # candidate rows (bit-identical to the scalar check).
             flags = self._columnar_evaluator.predicted_inside(
                 ordered,
                 query.region,

@@ -37,10 +37,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.columnar.backend import numpy_or_none
+import numpy as np
+
 from repro.core.commit import CommittedAnswerStore
 from repro.core.engine import DEFAULT_WORLD, IncrementalEngine
-from repro.core.updates import Update, UpdateBatch
+from repro.core.updates import UpdateBatch
 from repro.geometry import Point, Rect, Velocity
 from repro.net import (
     ClientLink,
@@ -63,14 +64,12 @@ from repro.storage import HistoryRepository, LocationRecord
 class CycleResult:
     """What one evaluation cycle produced and shipped.
 
-    ``updates`` is whatever stream shape the engine emitted — an
-    :class:`~repro.core.updates.UpdateBatch` by default (sequence-
-    shaped, lazily materialised) or a ``list[Update]`` under
-    ``emit_mode="materialized"``.
+    ``updates`` is the engine's :class:`~repro.core.updates.UpdateBatch`
+    (sequence-shaped, lazily materialised).
     """
 
     now: float
-    updates: "UpdateBatch | list[Update]"
+    updates: UpdateBatch
     incremental_bytes: int
     complete_bytes: int
     delivered_updates: int = 0
@@ -106,19 +105,15 @@ class LocationAwareServer:
         engine: IncrementalEngine | None = None,
         registry: MetricsRegistry | None = None,
         pipeline: str = "cell-batched",
-        parallelism: object = None,
         recorder: FlightRecorder | None = None,
     ):
         """``engine`` lets a restarted server adopt a checkpoint-restored
         engine instead of starting empty; bind its queries to clients
         with :meth:`adopt_query`.
 
-        ``pipeline`` / ``parallelism`` configure the constructed
-        engine's bulk-evaluation strategy (ignored when ``engine`` is
-        supplied): ``pipeline="parallel"`` with ``parallelism=K`` (an
-        int, or a :class:`repro.parallel.ParallelConfig`) shards each
-        evaluation cycle across K workers.  A server running a parallel
-        engine should be :meth:`close`\\ d to release the pool.
+        ``pipeline`` selects the constructed engine's bulk-evaluation
+        strategy (one of :data:`repro.core.engine.PIPELINES`; ignored
+        when ``engine`` is supplied).
 
         ``registry`` is the telemetry sink for the whole stack; when
         omitted the server shares the engine's registry, so server
@@ -128,7 +123,7 @@ class LocationAwareServer:
         engine's per-phase spans in one Chrome trace.
 
         ``recorder`` arms the black-box flight recorder for the whole
-        stack (engine shard events plus server protocol events).  When
+        stack (engine batch events plus server protocol events).  When
         an ``engine`` is supplied, the recorder is installed onto it so
         both layers write into the same ring.
         """
@@ -140,7 +135,6 @@ class LocationAwareServer:
                 grid_size,
                 prediction_horizon,
                 pipeline=pipeline,
-                parallelism=parallelism,  # type: ignore[arg-type]
                 recorder=recorder,
             )
         )
@@ -196,17 +190,14 @@ class LocationAwareServer:
     # ------------------------------------------------------------------
 
     def close(self) -> None:
-        """Release engine-owned resources (the parallel worker pool).
+        """End the server's lifetime; safe to call repeatedly.
 
-        A no-op for serial pipelines; safe to call repeatedly.
+        The server holds no OS resources today (links, history and the
+        engine are plain in-memory objects), so this does nothing.  It
+        stays as the one shutdown call owners such as
+        :class:`repro.service.ServiceRuntime` make, so a resource added
+        later has a place to be released.
         """
-        self.engine.close()
-
-    def __enter__(self) -> "LocationAwareServer":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
 
     # ------------------------------------------------------------------
     # Protocol observers and fault hooks
@@ -564,17 +555,10 @@ class LocationAwareServer:
             freshness = self.freshness
             recorder = self.recorder
             with self.tracer.span("downlink"):
-                np = numpy_or_none()
-                if (
-                    np is not None
-                    and getattr(updates, "qids", None) is not None
-                    and len(updates) > 1
-                ):
-                    self._ship_grouped(
-                        np, updates, result, freshness, recorder
-                    )
+                if len(updates) > 1:
+                    self._ship_grouped(updates, result, freshness, recorder)
                 else:
-                    for uqid, uoid, usign in self._stream_tuples(updates):
+                    for uqid, uoid, usign in updates.tuples():
                         binding = self._bindings.get(uqid)
                         if binding is None:
                             # Query was unregistered in this same batch.
@@ -594,14 +578,6 @@ class LocationAwareServer:
         self._m_complete_bytes.inc(result.complete_bytes)
         self._m_savings_ratio.set(result.savings_ratio)
         return result
-
-    @staticmethod
-    def _stream_tuples(updates):
-        """``(qid, oid, sign)`` triples of any stream shape."""
-        tuples = getattr(updates, "tuples", None)
-        if tuples is not None:
-            return tuples()
-        return ((u.qid, u.oid, u.sign) for u in updates)
 
     def _ship_one(
         self, link, qid: int, oid: int, sign: int, result, freshness, recorder
@@ -630,8 +606,8 @@ class LocationAwareServer:
                 "downlink", qid=qid, oid=oid, sign=sign, ok=False
             )
 
-    def _ship_grouped(self, np, updates, result, freshness, recorder) -> None:
-        """Downlink shipping grouped by owning client (numpy path).
+    def _ship_grouped(self, updates, result, freshness, recorder) -> None:
+        """Downlink shipping grouped by owning client.
 
         One ``np.unique`` resolves each distinct qid's binding once and
         one **stable** argsort groups the batch by client, so the

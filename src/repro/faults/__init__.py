@@ -7,10 +7,9 @@ Three layers:
   dimension, so runs replay exactly);
 * :mod:`repro.faults.injector` — :class:`FaultInjector` wires a plan
   into the stack's injectable hooks: downlink ``link.fault_hook``
-  (drop / duplicate / cross-query reorder), the server's
-  ``uplink_gate`` (delayed uplinks), the engine's
-  ``worker_crash_hook`` (simulated shard-worker deaths), plus
-  cycle-level client disconnects with scheduled wakeups;
+  (drop / duplicate / cross-query reorder) and the server's
+  ``uplink_gate`` (delayed uplinks), plus cycle-level client
+  disconnects with scheduled wakeups;
 * :mod:`repro.faults.harness` — :func:`run_chaos` runs a seeded
   workload under a plan with the
   :class:`~repro.check.ConsistencyOracle` checking every cycle, then

@@ -13,7 +13,8 @@ import json
 import sys
 from pathlib import Path
 
-from repro.faults.harness import PIPELINES, default_plan, run_chaos
+from repro.core.engine import PIPELINES
+from repro.faults.harness import default_plan, run_chaos
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -26,8 +27,8 @@ def main(argv: list[str] | None = None) -> int:
         "--pipelines",
         nargs="+",
         default=list(PIPELINES),
-        choices=list(PIPELINES),
-        help="engine pipelines to exercise (default: all three)",
+        choices=PIPELINES,
+        help="engine pipelines to exercise (default: all of them)",
     )
     parser.add_argument(
         "--seeds",

@@ -2,8 +2,7 @@
 
 The :class:`FaultInjector` wires one :class:`~repro.faults.FaultPlan`
 into every injectable hook the stack exposes — downlink
-``link.fault_hook``, the server's ``uplink_gate``, the engine's
-``worker_crash_hook`` — and drives the cycle-level faults (client
+``link.fault_hook`` and the server's ``uplink_gate`` — and drives the cycle-level faults (client
 disconnects and their scheduled wakeups) from :meth:`begin_cycle`.
 Every injected fault increments ``fault_injected_total{kind=...}`` in
 the server's registry, so a chaos run can assert both "faults actually
@@ -40,7 +39,6 @@ class FaultInjector:
         for client_id in self.server.client_ids():
             self.server.link_of(client_id).fault_hook = self._downlink_fault
         self.server.uplink_gate = self._uplink_gate
-        self.server.engine.worker_crash_hook = self._worker_crash
         self._active = True
 
     def bind_client(self, client_id: int) -> None:
@@ -63,10 +61,6 @@ class FaultInjector:
         for client_id in self.server.client_ids():
             self.server.link_of(client_id).fault_hook = None
         self.server.uplink_gate = None
-        self.server.engine.worker_crash_hook = None
-        engine_pool = self.server.engine._worker_pool
-        if engine_pool is not None:
-            engine_pool.crash_hook = None
         for client_id in sorted(self._reconnect_at):
             self.server.receive_wakeup(client_id)
         self._reconnect_at.clear()
@@ -110,12 +104,6 @@ class FaultInjector:
             self._count("uplink_delay")
             return False
         return True
-
-    def _worker_crash(self, payload) -> bool:
-        if self.schedule.should_crash_worker():
-            self._count("worker_crash")
-            return True
-        return False
 
     def _count(self, kind: str) -> None:
         self.counts[kind] += 1

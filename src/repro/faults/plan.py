@@ -34,9 +34,13 @@ class FaultPlan:
     Rates are per decision point: ``disconnect_rate`` per client per
     cycle, ``drop_rate`` / ``duplicate_rate`` / ``reorder_rate`` per
     downlink delivery attempt (mutually exclusive, in that precedence),
-    ``uplink_delay_rate`` per uplink call, ``worker_crash_rate`` per
-    dispatched shard.  ``reconnect_after`` is how many cycles a
-    disconnected client stays dark before its wakeup.
+    ``uplink_delay_rate`` per uplink call.  ``reconnect_after`` is how
+    many cycles a disconnected client stays dark before its wakeup.
+
+    ``worker_crash_rate`` is validated but has no effect: the engine
+    no longer has a worker pool to crash.  The field stays so that
+    existing plans, and :meth:`to_dict` output that callers hash or
+    store, keep their exact shape.
     """
 
     seed: int = 0
@@ -78,7 +82,6 @@ class FaultSchedule:
         self._downlink = random.Random(f"{plan.seed}:downlink")
         self._disconnect = random.Random(f"{plan.seed}:disconnect")
         self._uplink = random.Random(f"{plan.seed}:uplink")
-        self._crash = random.Random(f"{plan.seed}:crash")
 
     def downlink_action(self) -> str:
         """The fate of one delivery attempt (a :data:`FAULT_ACTIONS`)."""
@@ -99,6 +102,3 @@ class FaultSchedule:
 
     def should_delay_uplink(self) -> bool:
         return self._uplink.random() < self.plan.uplink_delay_rate
-
-    def should_crash_worker(self) -> bool:
-        return self._crash.random() < self.plan.worker_crash_rate

@@ -16,6 +16,8 @@ boundary coordinates.
 
 from __future__ import annotations
 
+import numpy as np
+
 __all__ = ["clamp_axis_index", "point_cell", "point_cells_batch"]
 
 
@@ -49,14 +51,14 @@ def point_cell(
     )
 
 
-def point_cells_batch(xs, ys, grid, np):
+def point_cells_batch(xs, ys, grid):
     """Home cells of a whole coordinate batch, bit-identical to
     :func:`point_cell` element for element.
 
     ``xs``/``ys`` are float64 ndarrays of finite coordinates (report
     ingestion clamps to the world, but any value within int64 cast
-    range is handled identically to the scalar path); ``np`` is the
-    caller's numpy module.  Returns an int64 ndarray of cell ids.
+    range is handled identically to the scalar path).  Returns an int64
+    ndarray of cell ids.
     """
     world = grid.world
     n = grid.n

@@ -61,10 +61,9 @@ class GridIndex:
         # allocation-free but non-reentrant.
         self._scratch_cells: list[int] = []
         # Per-cell sorted qid tuples, built lazily and invalidated only
-        # when that cell's query membership changes.  Backs both
-        # snapshot_cell_queries (parallel payloads) and the columnar
-        # evaluator's candidate resolution, so repeated snapshots of a
-        # stable cell are a dict hit, not a rebuild.
+        # when that cell's query membership changes.  Backs the
+        # columnar evaluator's candidate resolution, so repeated reads
+        # of a stable cell are a dict hit, not a rebuild.
         self._cell_query_tuples: dict[int, tuple[int, ...]] = {}
 
     # ------------------------------------------------------------------
@@ -282,8 +281,7 @@ class GridIndex:
         Built on first access and invalidated per cell only when a
         query is placed into or removed from that cell, so a stable
         cell costs one dict hit per access no matter how many batches
-        read it.  The tuple is immutable and safe to retain or ship
-        across process boundaries.
+        read it.  The tuple is immutable and safe to retain.
         """
         cached = self._cell_query_tuples.get(cell)
         if cached is None:
@@ -295,23 +293,6 @@ class GridIndex:
             )
             self._cell_query_tuples[cell] = cached
         return cached
-
-    def snapshot_cell_queries(
-        self, cells: "list[int] | tuple[int, ...] | Set[int]"
-    ) -> dict[int, tuple[int, ...]]:
-        """Flat, picklable ``{cell: (qid, ...)}`` snapshot of ``cells``.
-
-        The struct-of-arrays export the parallel pipeline ships to
-        worker processes: plain ints in plain tuples, no live bucket
-        aliases crossing a process boundary, no object graphs to
-        pickle.  Empty cells map to an empty tuple so workers can
-        distinguish "no queries here" from "cell not shipped".  Each
-        tuple is a slice of the per-cell tuple cache
-        (:meth:`cell_query_tuple`) — sorted ascending, rebuilt only for
-        cells whose query membership changed since the last snapshot.
-        """
-        tuple_of = self.cell_query_tuple
-        return {cell: tuple_of(cell) for cell in cells}
 
     # ------------------------------------------------------------------
     # Telemetry

@@ -167,40 +167,3 @@ class Grid:
         """The largest ring radius that still touches the world."""
         row, col = divmod(center_cell, self.n)
         return max(row, col, self.n - 1 - row, self.n - 1 - col)
-
-    # ------------------------------------------------------------------
-    # Sharding (parallel bulk evaluation)
-    # ------------------------------------------------------------------
-
-    def shard_of_cell(self, cell: int, shards: int) -> int:
-        """The shard owning ``cell`` under a ``shards``-way row striping.
-
-        Shards are contiguous horizontal bands of grid rows: row ``r``
-        belongs to shard ``r * shards // n``.  Bands differ by at most
-        one row, every shard id in ``[0, min(shards, n))`` is used, and
-        the mapping is pure arithmetic — workers and the coordinator
-        agree on it without communicating.
-        """
-        if shards <= 0:
-            raise ValueError(f"shards must be positive, got {shards}")
-        return (cell // self.n) * shards // self.n
-
-    def shard_row_bands(self, shards: int) -> list[tuple[int, int]]:
-        """The ``[row_lo, row_hi)`` band of grid rows for each shard.
-
-        Shards beyond the row count come back as empty bands (a 4x4
-        grid split 8 ways leaves four shards with no rows) so callers
-        can size worker pools without special-casing tiny grids.
-        """
-        if shards <= 0:
-            raise ValueError(f"shards must be positive, got {shards}")
-        bounds = [0] * (shards + 1)
-        for row in range(self.n):
-            bounds[row * shards // self.n + 1] = row + 1
-        bands: list[tuple[int, int]] = []
-        lo = 0
-        for shard in range(shards):
-            hi = max(bounds[shard + 1], lo)
-            bands.append((lo, hi))
-            lo = hi
-        return bands

@@ -1,14 +1,13 @@
 """The black-box flight recorder.
 
 A fixed-size ring buffer of structured protocol events — uplinks,
-downlinks, commits, wakeups, shard dispatch/merge, fault injections,
+downlinks, commits, wakeups, columnar batches, fault injections,
 oracle checks — that costs almost nothing while armed (one deque append
 per event, old events silently overwritten) and tells the last-N-cycles
 story when something goes wrong.  Chaos failures ship their recorder
 dump inside ``CHAOS_REPORT.json`` instead of just a counter delta; an
-oracle :class:`~repro.check.Divergence` or a
-:class:`~repro.parallel.SimulatedWorkerCrash` can :meth:`trigger` a
-dump automatically.
+oracle :class:`~repro.check.Divergence` can :meth:`trigger` a dump
+automatically.
 
 The ring-size/overhead trade: each slot holds one small tuple, so the
 default 4096-slot ring is a few hundred KB at worst and the append cost
@@ -67,8 +66,8 @@ class FlightRecorder:
     # -- triggering -----------------------------------------------------
 
     def trigger(self, reason: str, /, **data) -> "list[Path] | None":
-        """Mark the run as needing a dump (oracle divergence, worker
-        crash, chaos failure, explicit call).  Records the trigger as an
+        """Mark the run as needing a dump (oracle divergence, chaos
+        failure, explicit call).  Records the trigger as an
         event; if :attr:`auto_dump_prefix` is set, writes the dump on
         the *first* trigger and returns the written paths."""
         payload = {"reason": reason}

@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import asyncio
 
+from repro.core.engine import PIPELINES
 from repro.faults.harness import default_plan
 from repro.service.admission import AdmissionConfig
 from repro.service.runtime import ServiceConfig, ServiceRuntime
@@ -28,7 +29,8 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--pipeline",
         default="cell-batched",
-        help="engine pipeline (per-report, cell-batched, columnar, parallel)",
+        choices=PIPELINES,
+        help="engine pipeline (default: cell-batched)",
     )
     parser.add_argument("--max-sessions", type=int, default=1024)
     parser.add_argument("--max-clients", type=int, default=200_000)

@@ -34,7 +34,7 @@ import json
 import socket
 import threading
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.generator import (
     MovingObjectSimulator,
@@ -195,7 +195,13 @@ class _SessionWorker(threading.Thread):
 
 
 class _ControlLink:
-    """The driver's own session: ticks cycles, reads back answers."""
+    """The driver's own session: ticks cycles, reads back answers.
+
+    The service registers the control session's client (-1) like any
+    other, so a fault plan can disconnect it; its wakeup then puts
+    ``wakeup_begin``/``wakeup_end`` markers on this stream ahead of the
+    reply to the next request.  :meth:`request` skips them.
+    """
 
     def __init__(self, address: tuple[str, int]):
         self.sock = socket.create_connection(address, timeout=60)
@@ -204,10 +210,13 @@ class _ControlLink:
     def request(self, op: dict) -> dict:
         self.wire.write(encode(op))
         self.wire.flush()
-        line = self.wire.readline()
-        if not line:
-            raise ConnectionError("server closed the control session")
-        return json.loads(line)
+        while True:
+            line = self.wire.readline()
+            if not line:
+                raise ConnectionError("server closed the control session")
+            reply = json.loads(line)
+            if reply.get("op") not in ("wakeup_begin", "wakeup_end"):
+                return reply
 
     def close(self) -> None:
         try:

@@ -79,7 +79,6 @@ class ServiceConfig:
     cycle_interval: float = 0.0
     grid_size: int = 64
     pipeline: str = "cell-batched"
-    parallelism: object = None
     admission: AdmissionConfig = field(default_factory=AdmissionConfig)
     #: Attach a differential consistency oracle to every session.
     oracle: bool = False
@@ -101,7 +100,6 @@ class ServiceRuntime:
         self.server = server or LocationAwareServer(
             grid_size=self.config.grid_size,
             pipeline=self.config.pipeline,
-            parallelism=self.config.parallelism,
             recorder=self.config.recorder,
         )
         self.registry = self.server.registry

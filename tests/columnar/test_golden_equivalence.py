@@ -2,8 +2,7 @@
 
 ``pipeline="columnar"`` is specified as byte-for-byte equivalent to
 ``pipeline="cell-batched"``: identical update streams in identical
-order, every round, for every workload — under the numpy backend *and*
-the pure-Python fallback.  These tests drive engine trios through
+order, every round, for every workload.  These tests drive engine trios through
 randomized mixed workloads (all three query kinds, query moves,
 unregistrations, object removals, off-world clamping) and compare the
 ordered streams; the per-object reference is checked for per-query set
@@ -34,13 +33,12 @@ def per_query(updates) -> dict[int, list[tuple[int, int]]]:
 class TrioDriver:
     """Feed columnar, cell-batched and per-object engines one workload."""
 
-    def __init__(self, seed: int, backend: str, grid_size: int = 8):
+    def __init__(self, seed: int, grid_size: int = 8):
         self.rng = random.Random(seed)
         self.columnar = IncrementalEngine(
             grid_size=grid_size,
             prediction_horizon=30.0,
             pipeline="columnar",
-            columnar_backend=backend,
         )
         self.serial = IncrementalEngine(
             grid_size=grid_size,
@@ -182,16 +180,11 @@ def per_query_from_stream(stream) -> dict[int, list[tuple[int, int]]]:
 
 @pytest.mark.parametrize("seed", range(6))
 def test_auto_backend_matches_serial_stream_byte_for_byte(seed):
-    TrioDriver(seed, "auto").run()
-
-
-@pytest.mark.parametrize("seed", range(6))
-def test_python_backend_matches_serial_stream_byte_for_byte(seed):
-    TrioDriver(seed, "python").run()
+    TrioDriver(seed).run()
 
 
 def test_finer_grid_matches(seed=17):
-    TrioDriver(seed, "auto", grid_size=16).run(rounds=6)
+    TrioDriver(seed, grid_size=16).run(rounds=6)
 
 
 def test_columnar_emits_batch_metrics():
@@ -212,8 +205,3 @@ def test_columnar_emits_batch_metrics():
 def test_unknown_pipeline_rejected():
     with pytest.raises(ValueError):
         IncrementalEngine(pipeline="simd")
-
-
-def test_unknown_columnar_backend_rejected():
-    with pytest.raises(ValueError):
-        IncrementalEngine(pipeline="columnar", columnar_backend="cuda")

@@ -5,10 +5,10 @@ workloads; these tests pin the specific report-buffer shapes the batch
 ingest kernel (:mod:`repro.columnar.ingest`) special-cases — brand-new
 objects, stay-put batches, predictive/stationary transitions in both
 directions, boundary-clamped coordinates, and removal-interleaved
-batches — across all four pipelines and both columnar backends.
+batches — across every pipeline.
 
-The three batched pipelines (cell-batched, parallel, columnar) must
-emit **byte-identical** ordered update streams; the per-object
+The two batched pipelines (cell-batched, columnar) must emit
+**byte-identical** ordered update streams; the per-object
 reference must agree per query as a set (its intra-batch emission
 order legitimately differs).  Every engine's invariants are checked
 after every round, which includes the dense ``oid -> cell`` column the
@@ -17,9 +17,6 @@ batch kernel maintains.
 
 from __future__ import annotations
 
-import pytest
-
-from repro.columnar import numpy_available
 from repro.core import IncrementalEngine
 from repro.geometry import Point, Rect, Velocity
 
@@ -39,39 +36,15 @@ def per_query(stream):
 
 
 class Fleet:
-    """One engine per pipeline/backend combination, driven in lockstep."""
+    """One engine per pipeline, driven in lockstep."""
 
     def __init__(self):
         self.engines: dict[str, IncrementalEngine] = {
-            "cell-batched": IncrementalEngine(
-                grid_size=GRID,
-                prediction_horizon=HORIZON,
-                pipeline="cell-batched",
-            ),
-            "parallel": IncrementalEngine(
-                grid_size=GRID,
-                prediction_horizon=HORIZON,
-                pipeline="parallel",
-            ),
-            "columnar-python": IncrementalEngine(
-                grid_size=GRID,
-                prediction_horizon=HORIZON,
-                pipeline="columnar",
-                columnar_backend="python",
-            ),
-            "per-object": IncrementalEngine(
-                grid_size=GRID,
-                prediction_horizon=HORIZON,
-                pipeline="per-object",
-            ),
-        }
-        if numpy_available():
-            self.engines["columnar-numpy"] = IncrementalEngine(
-                grid_size=GRID,
-                prediction_horizon=HORIZON,
-                pipeline="columnar",
-                columnar_backend="numpy",
+            pipeline: IncrementalEngine(
+                grid_size=GRID, prediction_horizon=HORIZON, pipeline=pipeline
             )
+            for pipeline in ("cell-batched", "columnar", "per-object")
+        }
 
     def all(self, method: str, *args) -> None:
         for engine in self.engines.values():
@@ -239,17 +212,13 @@ def test_removal_interleaved_batches():
     fleet.evaluate_and_compare(2.0)
 
 
-@pytest.mark.skipif(not numpy_available(), reason="numpy not installed")
 def test_dense_column_mirrors_index():
     """The batch kernel's oid -> cell column stays in lockstep with the
     grid index across mixed rounds (spot check beyond check_invariants)."""
     from repro.columnar.ingest import MULTI_CELL
 
     engine = IncrementalEngine(
-        grid_size=GRID,
-        prediction_horizon=HORIZON,
-        pipeline="columnar",
-        columnar_backend="numpy",
+        grid_size=GRID, prediction_horizon=HORIZON, pipeline="columnar"
     )
     engine.register_range_query(1, Rect(0.1, 0.1, 0.9, 0.9))
     for oid in range(10):

@@ -1,11 +1,13 @@
-"""Kernel contract tests: numpy and python backends must agree exactly.
+"""Kernel contract tests for the numpy membership classifier.
 
 Plans here are built by hand from randomized stores (no engine in the
 loop), so the tests pin the kernel contract itself: changed pairs only
 as public qid/oid lists (stores use non-identity ids so the row→id
 mapping is genuinely exercised), flat serial pair order, per-cohort
 end offsets, NaN old coordinates classified as "was a member of
-nothing".
+nothing".  Two independent references check it: a straight-line walk
+of the plan, and a brute-force containment check through
+:class:`repro.geometry.Rect`.
 """
 
 from __future__ import annotations
@@ -21,10 +23,8 @@ from repro.columnar import (
     KIND_RANGE,
     PairPlan,
     classify_transitions,
-    numpy_available,
 )
-
-needs_numpy = pytest.mark.skipif(not numpy_available(), reason="numpy not installed")
+from repro.geometry import Point, Rect
 
 
 def build_random_batch(seed: int, cohorts: int = 12):
@@ -68,7 +68,7 @@ def build_random_batch(seed: int, cohorts: int = 12):
 
 def reference_classify(plan, ostore, qstore):
     """Straight-line reimplementation of the contract, independent of
-    both production kernels."""
+    the production kernel."""
     qids, oids, signs, ends = [], [], [], []
     part_index = 0
     obj_index = 0
@@ -94,36 +94,69 @@ def reference_classify(plan, ostore, qstore):
     return qids, oids, signs, ends
 
 
-@pytest.mark.parametrize("seed", range(20))
-def test_python_backend_matches_reference(seed):
-    plan, ostore, qstore = build_random_batch(seed)
-    got = classify_transitions(plan, ostore, qstore, "python")
-    assert tuple(got) == tuple(reference_classify(plan, ostore, qstore))
+def brute_force_changes(plan, ostore, qstore):
+    """Per cohort, the set of ``(qid, oid, sign)`` changes found by
+    testing every (candidate query, member) pair for containment with
+    :meth:`Rect.contains_point` — no plan-order walk, no store-column
+    comparisons.  A NaN old coordinate means the object was new."""
+    per_cohort = []
+    part_index = 0
+    obj_index = 0
+    for cohort, members in enumerate(plan.obj_counts):
+        rows = plan.obj_rows[obj_index : obj_index + members]
+        obj_index += members
+        entries = []
+        for _ in range(plan.parts_per_cohort[cohort]):
+            entries.extend(plan.ent_parts[part_index])
+            part_index += 1
+        changes = set()
+        for erow in entries:
+            region = Rect(
+                qstore.min_xs[erow],
+                qstore.min_ys[erow],
+                qstore.max_xs[erow],
+                qstore.max_ys[erow],
+            )
+            for orow in rows:
+                now_in = region.contains_point(
+                    Point(ostore.xs[orow], ostore.ys[orow])
+                )
+                old_x, old_y = ostore.old_xs[orow], ostore.old_ys[orow]
+                was_in = not math.isnan(old_x) and region.contains_point(
+                    Point(old_x, old_y)
+                )
+                if now_in != was_in:
+                    changes.add(
+                        (qstore.qids[erow], ostore.oids[orow], 1 if now_in else -1)
+                    )
+        per_cohort.append(changes)
+    return per_cohort
 
 
-@needs_numpy
 @pytest.mark.parametrize("seed", range(20))
 def test_numpy_backend_matches_reference(seed):
     plan, ostore, qstore = build_random_batch(seed)
-    got = classify_transitions(plan, ostore, qstore, "numpy")
+    got = classify_transitions(plan, ostore, qstore)
     ref = reference_classify(plan, ostore, qstore)
     assert [list(part) for part in got] == [list(part) for part in ref]
+    # Brute-force containment agrees on what changed, cohort by cohort.
+    qids, oids, signs, ends = got
+    starts = [0, *ends[:-1]]
+    assert [
+        set(zip(qids[lo:hi], oids[lo:hi], signs[lo:hi]))
+        for lo, hi in zip(starts, ends)
+    ] == brute_force_changes(plan, ostore, qstore)
 
 
-@needs_numpy
 @pytest.mark.parametrize("seed", range(8))
 def test_numpy_chunking_is_invisible(seed):
     plan, ostore, qstore = build_random_batch(seed, cohorts=20)
-    whole = classify_transitions(plan, ostore, qstore, "numpy")
-    tiny = classify_transitions(plan, ostore, qstore, "numpy", chunk_pairs=7)
+    whole = classify_transitions(plan, ostore, qstore)
+    tiny = classify_transitions(plan, ostore, qstore, chunk_pairs=7)
     assert tuple(map(list, whole)) == tuple(map(list, tiny))
 
 
-@pytest.mark.parametrize(
-    "backend",
-    ["python", pytest.param("numpy", marks=needs_numpy)],
-)
-def test_nan_old_coords_mean_member_of_nothing(backend):
+def test_nan_old_coords_mean_member_of_nothing():
     ostore = ColumnarObjectStore()
     qstore = ColumnarQueryStore()
     # Fresh object inside the query: NaN old coords -> pure enter.
@@ -137,16 +170,12 @@ def test_nan_old_coords_mean_member_of_nothing(backend):
     plan.obj_rows.append(0)
     plan.obj_counts.append(1)
     plan.seal()
-    qids, oids, signs, ends = classify_transitions(plan, ostore, qstore, backend)
+    qids, oids, signs, ends = classify_transitions(plan, ostore, qstore)
     assert (list(qids), list(oids), list(signs)) == ([9], [1], [1])
     assert list(ends) == [1]
 
 
-@pytest.mark.parametrize(
-    "backend",
-    ["python", pytest.param("numpy", marks=needs_numpy)],
-)
-def test_empty_plan(backend):
+def test_empty_plan():
     plan = PairPlan()
     plan.parts_per_cohort.extend([0, 0])
     plan.ent_counts.extend([0, 0])
@@ -156,14 +185,14 @@ def test_empty_plan(backend):
     ostore = ColumnarObjectStore()
     ostore.apply_report(1, 0.5, 0.5, 0.0, 0.0, 0.0, 0)
     qstore = ColumnarQueryStore()
-    qids, oids, signs, ends = classify_transitions(plan, ostore, qstore, backend)
+    qids, oids, signs, ends = classify_transitions(plan, ostore, qstore)
     assert list(qids) == [] and list(oids) == [] and list(signs) == []
     assert list(ends) == [0, 0]
 
 
 def test_boundary_containment_is_closed():
-    # Objects sitting exactly on a bound enter/stay: closed comparisons
-    # on both backends, matching Rect.contains_point.
+    # Objects sitting exactly on a bound enter/stay: closed comparisons,
+    # matching Rect.contains_point.
     ostore = ColumnarObjectStore()
     qstore = ColumnarQueryStore()
     ostore.apply_report(1, 0.2, 0.2, 0.0, 0.0, 0.0, 0)  # old NaN
@@ -178,7 +207,6 @@ def test_boundary_containment_is_closed():
     plan.seal()
     # Old (0.2,0.2) on the min corner and new (0.4,0.6) on the max
     # corner are both inside: no transition.
-    for backend in ["python"] + (["numpy"] if numpy_available() else []):
-        qids, _, _, ends = classify_transitions(plan, ostore, qstore, backend)
-        assert list(qids) == [], backend
-        assert list(ends) == [0], backend
+    qids, _, _, ends = classify_transitions(plan, ostore, qstore)
+    assert list(qids) == []
+    assert list(ends) == [0]

@@ -15,21 +15,12 @@ import pytest
 
 from repro.core import IncrementalEngine
 from repro.geometry import Point, Rect, Velocity
-from repro.columnar import numpy_available
-
-needs_numpy = pytest.mark.skipif(not numpy_available(), reason="numpy not installed")
 
 
 def build_engine(seed: int, n_objects: int = 120):
     rng = random.Random(seed)
-    # Pin the numpy backend: these tests target the vectorized kernel,
-    # so they must not silently downgrade when REPRO_COLUMNAR_BACKEND
-    # forces the fallback for the rest of the suite.
     engine = IncrementalEngine(
-        grid_size=8,
-        prediction_horizon=30.0,
-        pipeline="columnar",
-        columnar_backend="numpy",
+        grid_size=8, prediction_horizon=30.0, pipeline="columnar"
     )
     for oid in range(n_objects):
         velocity = Velocity.ZERO
@@ -49,7 +40,6 @@ def build_engine(seed: int, n_objects: int = 120):
     return engine, rng
 
 
-@needs_numpy
 @pytest.mark.parametrize("seed", range(10))
 def test_matches_scalar_on_random_motions(seed):
     engine, rng = build_engine(seed)
@@ -75,13 +65,11 @@ def test_matches_scalar_on_random_motions(seed):
             assert got == want, (oid, engine.objects[oid], region, horizon)
 
 
-@needs_numpy
 def test_boundary_grazing_lanes_match_scalar():
     engine = IncrementalEngine(
         grid_size=8,
         prediction_horizon=30.0,
         pipeline="columnar",
-        columnar_backend="numpy",
     )
     region = Rect(0.25, 0.25, 0.75, 0.75)
     cases = [
@@ -117,16 +105,3 @@ def test_boundary_grazing_lanes_match_scalar():
         for oid, got in zip(oids, flags):
             want = engine._predicted_in_region(query, engine.objects[oid])
             assert got == want, (oid, horizon)
-
-
-def test_python_backend_returns_none_and_scalar_path_runs():
-    engine = IncrementalEngine(
-        grid_size=8, pipeline="columnar", columnar_backend="python"
-    )
-    engine.register_predictive_query(1, Rect(0.2, 0.2, 0.8, 0.8), 10.0)
-    engine.report_object(0, Point(0.1, 0.5), 0.0, Velocity(0.05, 0.0))
-    updates = engine.evaluate(0.0)
-    assert engine._columnar_evaluator.predicted_inside(
-        [0], Rect(0.2, 0.2, 0.8, 0.8), 0.0, 10.0, 30.0
-    ) is None
-    assert [(u.qid, u.oid, u.sign) for u in updates] == [(1, 0, 1)]

@@ -1,4 +1,4 @@
-"""Unit tests for the columnar object/query stores and backend resolve."""
+"""Unit tests for the columnar object/query stores."""
 
 from __future__ import annotations
 
@@ -6,15 +6,14 @@ import math
 
 import pytest
 
+import numpy as np
+
 from repro.columnar import (
-    BACKEND_ENV_VAR,
     KIND_KNN,
     KIND_PREDICTIVE,
     KIND_RANGE,
     ColumnarObjectStore,
     ColumnarQueryStore,
-    numpy_available,
-    resolve_backend,
 )
 
 
@@ -75,10 +74,6 @@ class TestQueryStore:
         store.put(2, KIND_PREDICTIVE)
         assert store.descriptor(1) == (KIND_KNN, 0.0, 0.0, 0.0, 0.0)
         assert store.descriptor(2) == (KIND_PREDICTIVE, 0.0, 0.0, 0.0, 0.0)
-        assert store.descriptors([1, 2]) == {
-            1: (KIND_KNN, 0.0, 0.0, 0.0, 0.0),
-            2: (KIND_PREDICTIVE, 0.0, 0.0, 0.0, 0.0),
-        }
 
     def test_every_mutation_bumps_version(self):
         store = ColumnarQueryStore()
@@ -104,11 +99,8 @@ class TestQueryStore:
             store.descriptor(10)
 
 
-@pytest.mark.skipif(not numpy_available(), reason="numpy not installed")
 class TestNumpyViews:
     def test_object_views_are_zero_copy(self):
-        import numpy as np
-
         store = ColumnarObjectStore()
         store.apply_report(1, 0.5, 0.25, 0.0, 0.0, 0.0, 3)
         xs, ys, old_xs, old_ys = store.coord_views()
@@ -124,29 +116,3 @@ class TestNumpyViews:
         assert len(xs) == 0 and len(ys) == 0
         views = ColumnarQueryStore().bounds_views()
         assert all(len(v) == 0 for v in views)
-
-
-class TestResolveBackend:
-    def test_explicit_python(self):
-        assert resolve_backend("python") == "python"
-
-    def test_unknown_raises(self):
-        with pytest.raises(ValueError):
-            resolve_backend("fortran")
-
-    @pytest.mark.skipif(not numpy_available(), reason="numpy not installed")
-    def test_auto_prefers_numpy(self, monkeypatch):
-        monkeypatch.delenv(BACKEND_ENV_VAR, raising=False)
-        assert resolve_backend("auto") == "numpy"
-        assert resolve_backend("numpy") == "numpy"
-
-    def test_env_override_applies_to_auto_only(self, monkeypatch):
-        monkeypatch.setenv(BACKEND_ENV_VAR, "python")
-        assert resolve_backend("auto") == "python"
-        if numpy_available():
-            assert resolve_backend("numpy") == "numpy"
-
-    def test_env_override_garbage_raises(self, monkeypatch):
-        monkeypatch.setenv(BACKEND_ENV_VAR, "cuda")
-        with pytest.raises(ValueError):
-            resolve_backend("auto")

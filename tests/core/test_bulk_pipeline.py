@@ -18,6 +18,7 @@ import random
 import pytest
 
 from repro.core import IncrementalEngine
+from repro.core.engine import PIPELINES
 from repro.geometry import Point, Rect, Velocity
 
 
@@ -259,3 +260,7 @@ def test_move_targeting_same_batch_registration_is_valid():
 def test_pipeline_argument_is_validated():
     with pytest.raises(ValueError, match="pipeline"):
         IncrementalEngine(pipeline="vectorized")
+    with pytest.raises(ValueError, match="pipeline"):
+        IncrementalEngine(pipeline="parallel")
+    for name in PIPELINES:
+        assert IncrementalEngine(pipeline=name).pipeline == name

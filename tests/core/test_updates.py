@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core import Update, UpdateBatch, UpdateList, apply_updates, diff_answers
+from repro.core import Update, UpdateBatch, apply_updates, diff_answers
 
 
 class TestUpdate:
@@ -100,13 +100,6 @@ class TestUpdateBatch:
     def test_ragged_columns_rejected(self):
         with pytest.raises(ValueError):
             UpdateBatch([1], [2, 3], [1])
-
-    def test_update_list_same_emission_api(self):
-        materialized = UpdateList()
-        materialized.push(1, 5, 1)
-        materialized.extend_columns([2], [6], [-1])
-        assert materialized == [Update.positive(1, 5), Update.negative(2, 6)]
-        assert list(materialized.tuples()) == [(1, 5, 1), (2, 6, -1)]
 
     @given(updates_strategy)
     @settings(max_examples=200, deadline=None)

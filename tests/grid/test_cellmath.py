@@ -10,18 +10,15 @@ a deterministic sweep pins exact cell-edge multiples.
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.columnar.backend import numpy_or_none
 from repro.geometry import Point, Rect
 from repro.grid import Grid
 from repro.grid.cellmath import clamp_axis_index, point_cell, point_cells_batch
 
 UNIT = Rect(0.0, 0.0, 1.0, 1.0)
-
-np = numpy_or_none()
-needs_numpy = pytest.mark.skipif(np is None, reason="numpy not installed")
 
 # Coordinates straddling the world: in-world, clamped, and boundary.
 coords = st.floats(
@@ -41,12 +38,11 @@ def test_scalar_kernel_matches_grid_cell_of(n, x, y):
 
 
 @given(grid_sizes, st.lists(st.tuples(coords, coords), min_size=1, max_size=64))
-@needs_numpy
 def test_batch_kernel_matches_scalar_on_arbitrary_points(n, points):
     grid = Grid(UNIT, n)
     xs = np.asarray([x for x, _ in points])
     ys = np.asarray([y for _, y in points])
-    got = point_cells_batch(xs, ys, grid, np).tolist()
+    got = point_cells_batch(xs, ys, grid).tolist()
     want = [
         point_cell(x, y, 0.0, 0.0, grid.cell_width, grid.cell_height, n)
         for x, y in points
@@ -54,7 +50,6 @@ def test_batch_kernel_matches_scalar_on_arbitrary_points(n, points):
     assert got == want
 
 
-@needs_numpy
 @pytest.mark.parametrize("n", [1, 2, 3, 7, 8, 64])
 def test_batch_kernel_bit_identical_on_cell_boundaries(n):
     """Exact cell-edge multiples: k/n for every k, plus the nearest
@@ -76,7 +71,7 @@ def test_batch_kernel_bit_identical_on_cell_boundaries(n):
         )
     xs = np.asarray([x for x in edges for _ in edges])
     ys = np.asarray([y for _ in edges for y in edges])
-    got = point_cells_batch(xs, ys, grid, np).tolist()
+    got = point_cells_batch(xs, ys, grid).tolist()
     want = [grid.cell_of(Point(x, y)) for x, y in zip(xs.tolist(), ys.tolist())]
     assert got == want
 

@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.faults import default_plan
+from repro.faults import FaultPlan, default_plan
+from repro.obs import FlightRecorder
 from repro.service.loadgen import LoadConfig, LoadDriver
 
 
@@ -68,6 +69,44 @@ class TestChaosOverRealTransport:
         assert report["counts"].get("wakeups", 0) > 0
         assert report["counts"].get("wakeup_end", 0) > 0
         assert report["worker_errors"] == []
+
+
+class TestControlSessionOutage:
+    def test_driver_survives_its_control_client_waking_up(self, make_runtime):
+        """A fault plan may disconnect the driver's own control client.
+        Its wakeup then writes ``wakeup_begin``/``wakeup_end`` markers
+        on the control stream ahead of the ``tick`` reply; the driver
+        must skip them instead of failing with "tick failed"."""
+        recorder = FlightRecorder(capacity=1 << 16)
+        runtime = make_runtime(
+            grid_size=16,
+            oracle=True,
+            recorder=recorder,
+            fault_plan=FaultPlan(seed=10, disconnect_rate=0.3, reconnect_after=2),
+        )
+        cfg = LoadConfig(
+            clients=40,
+            objects=30,
+            range_queries=6,
+            knn_queries=2,
+            predictive_queries=2,
+            cycles=8,
+            sessions=2,
+            verify_samples=5,
+        )
+        report = LoadDriver(runtime.tcp_address, cfg).run()
+        # The seeded schedule really did take the control client down
+        # and wake it up again while the driver was still ticking.
+        woken = [
+            event
+            for event in recorder.events()
+            if event["kind"] == "wakeup_begin"
+            and event["client"] == -1  # the driver's control client
+        ]
+        assert woken
+        assert report["divergences_total"] == 0
+        assert report["worker_errors"] == []
+        assert len(report["last_cycle"]) > 0
 
 
 class TestConfig:
