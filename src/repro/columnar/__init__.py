@@ -5,8 +5,10 @@ mirrored into parallel arrays (:mod:`repro.columnar.store`), batch
 kernels for the cell-range join and cohort membership classification
 (:mod:`repro.columnar.kernels`) and k-NN candidate distance filtering
 (:mod:`repro.columnar.knn`), orchestrated per evaluation by
-:class:`~repro.columnar.evaluate.ColumnarEvaluator`.  Kernels run on
-numpy, a declared runtime dependency.
+:class:`~repro.columnar.evaluate.ColumnarEvaluator`.  Answers are not
+mirrored: the kernels read and write each query's live answer ``set``,
+the representation every pipeline shares.  Kernels run on numpy, a
+declared runtime dependency.
 """
 
 from repro.columnar.evaluate import ColumnarEvaluator
@@ -17,7 +19,6 @@ from repro.columnar.store import (
     KIND_KNN,
     KIND_PREDICTIVE,
     KIND_RANGE,
-    ColumnarAnswerStore,
     ColumnarObjectStore,
     ColumnarQueryStore,
 )
@@ -26,7 +27,6 @@ __all__ = [
     "BatchIngest",
     "MULTI_CELL",
     "NOT_INDEXED",
-    "ColumnarAnswerStore",
     "ColumnarEvaluator",
     "ColumnarObjectStore",
     "ColumnarQueryStore",

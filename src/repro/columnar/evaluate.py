@@ -38,12 +38,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.columnar.kernels import PairPlan, classify_transitions
-from repro.columnar.store import (
-    KIND_KNN,
-    KIND_PREDICTIVE,
-    KIND_RANGE,
-    ColumnarAnswerStore,
-)
+from repro.columnar.store import KIND_PREDICTIVE, KIND_RANGE
 
 #: ``engine_columnar_batch_size`` histogram bounds: powers of four from
 #: a single pair up to 16M pairs per batch.
@@ -76,20 +71,6 @@ class _CellEntries:
         self.full_rows = full_rows
         self.cover_set = cover_set
         self.static_qids = static_qids
-
-
-class _DualCounter:
-    """Feeds one span duration into two counters (phase + total)."""
-
-    __slots__ = ("first", "second")
-
-    def __init__(self, first, second):
-        self.first = first
-        self.second = second
-
-    def inc(self, value: float = 1.0) -> None:
-        self.first.inc(value)
-        self.second.inc(value)
 
 
 class ColumnarEvaluator:
@@ -146,22 +127,6 @@ class ColumnarEvaluator:
             )
             for phase in ("plan", "join", "emit")
         }
-        # The emit span feeds both the per-phase breakdown and the
-        # pipeline-neutral total the benchmark/CI gate reads.
-        self._emit_span_counter = _DualCounter(
-            self._phase_counters["emit"],
-            counter("engine_emit_seconds_total"),
-        )
-        # Answer membership as sorted oid arrays: the predictive
-        # refresh's membership delta becomes one vectorized
-        # searchsorted instead of per-candidate set probes, and the
-        # answered sweep's k-NN member union is assembled from (and
-        # cached against) the same arrays.  The engine invalidates an
-        # entry whenever it mutates an answer outside these paths.
-        self.answers = ColumnarAnswerStore(registry)
-        self._knn_union_cache: tuple[tuple[int, int], frozenset[int]] | None = (
-            None
-        )
 
     # ------------------------------------------------------------------
     # Entry point
@@ -181,7 +146,7 @@ class ColumnarEvaluator:
                 plan, self.ostore, self.qstore, want_arrays=True
             )
         self._m_changes.inc(len(qids))
-        with span("columnar_emit", self._emit_span_counter):
+        with span("columnar_emit", phase_counters["emit"]):
             special = self._sweep_candidates()
             self._emit(
                 metas,
@@ -449,26 +414,6 @@ class ColumnarEvaluator:
     # Columnar predictive answers
     # ------------------------------------------------------------------
 
-    def invalidate_answer(self, qid: int) -> None:
-        """Drop ``qid``'s sorted answer array.  Called by the engine
-        whenever it mutates an answer outside the array paths (object
-        removals, query unregistration/moves, scalar predictive
-        refreshes, k-NN re-solves) — the next reader rebuilds the
-        array from the live set."""
-        self.answers.invalidate(qid)
-
-    def answer_view(self, qid: int, live) -> frozenset[int] | None:
-        """``qid``'s answer served from the cached sorted array, or
-        ``None`` when no coherent array is cached (caller falls back
-        to the live set).  This is the read path external consumers
-        (oracle, recovery, ``answer_of``) exercise, so a stale array —
-        a missed invalidation — surfaces as a visible divergence
-        instead of silent drift."""
-        arr = self.answers.peek(qid)
-        if arr is None or len(arr) != len(live):
-            return None
-        return frozenset(arr.tolist())
-
     def refresh_predictive(
         self,
         qid: int,
@@ -486,19 +431,18 @@ class ColumnarEvaluator:
         exactly ``ordered[inside]``.
 
         Membership deltas come from one ``searchsorted`` of the
-        candidates against the stored sorted answer array; changed
-        memberships are applied to the live ``answer``/``answered``
-        sets and emitted ascending by oid — precisely the serial
-        loop's order.
+        candidates against the live answer, sorted into an array on
+        each call; changed memberships are applied to the live
+        ``answer``/``answered`` sets and emitted ascending by oid —
+        precisely the serial loop's order.
         """
         inside = self._predicted_inside_arr(
             ordered, query.region, now, horizon, trust_horizon
         )
         answer = query.answer
         candidates = np.asarray(ordered, dtype=np.int64)
-        # The store's length check doubles as the defensive rebuild for
-        # any missed invalidation hook (counted as a miss).
-        stored = self.answers.get(qid, answer)
+        stored = np.fromiter(answer, dtype=np.int64, count=len(answer))
+        stored.sort()
         if len(stored):
             pos = np.searchsorted(stored, candidates)
             pos[pos == len(stored)] = len(stored) - 1
@@ -520,9 +464,8 @@ class ColumnarEvaluator:
                     answer.discard(oid)
                     objects[oid].answered.discard(qid)
                     push(qid, oid, -1)
-        self.answers.put(qid, candidates[inside])
 
-    def _sweep_candidates(self) -> frozenset[int] | set[int]:
+    def _sweep_candidates(self) -> set[int]:
         """Oids that can possibly fail the sweep's ``answered <= seen``
         guard — everything else provably passes and is skipped unchecked.
 
@@ -551,8 +494,7 @@ class ColumnarEvaluator:
         """
         ostore = self.ostore
         world = self.grid.world
-        knn_members = self._knn_member_union()
-        special: set[int] = set()
+        special = self._knn_member_union()
         xs, ys, old_xs, old_ys = ostore.coord_views()
         # NaN old coordinates (new objects) compare False on every
         # bound: a fresh object is never off-world-stale.
@@ -571,40 +513,13 @@ class ColumnarEvaluator:
         if len(off_rows):
             oid_col = np.frombuffer(ostore.oids, dtype=np.int64)
             special.update(oid_col[off_rows].tolist())
-        if not special:
-            return knn_members
-        special.update(knn_members)
         return special
 
-    def _knn_member_union(self) -> frozenset[int]:
-        """Every oid in some k-NN answer, via the answer store's sorted
-        arrays — one concatenate + unique over cached rows instead of
-        per-qid set unions every batch.  The union itself is cached
-        against the (query store, answer store) version pair; k-NN
-        answer mutations always run an ``invalidate_answer`` hook, so
-        any membership change bumps the answer-store version."""
-        qstore = self.qstore
-        cached = self._knn_union_cache
-        key = (qstore.version, self.answers.version)
-        if cached is not None and cached[0] == key:
-            return cached[1]
+    def _knn_member_union(self) -> set[int]:
+        """Every oid in some k-NN answer, as a fresh set built from the
+        live k-NN answer sets on each call."""
         queries = self.queries
-        answers = self.answers
-        kind_col = np.frombuffer(qstore.kinds, dtype=np.int8)
-        rows = np.flatnonzero(kind_col == KIND_KNN)
-        if len(rows):
-            qid_col = np.frombuffer(qstore.qids, dtype=np.int64)
-            parts = [
-                answers.get(qid, queries[qid].answer)
-                for qid in qid_col[rows].tolist()
-            ]
-            union = frozenset(np.unique(np.concatenate(parts)).tolist())
-        else:
-            union = frozenset()
-        # Key re-read after the build: the gets above may have bumped
-        # the answer-store version while rebuilding missing rows.
-        self._knn_union_cache = ((qstore.version, self.answers.version), union)
-        return union
+        return set().union(*(queries[qid].answer for qid in self.knn_qids))
 
     # ------------------------------------------------------------------
     # Ordered emission + answered sweep

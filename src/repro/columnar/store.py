@@ -33,15 +33,9 @@ the "was not a member of anything" a fresh object needs.
 Query rows are descriptors ``(kind, min_x, min_y, max_x, max_y)`` with
 zeroed bounds for k-NN and predictive kinds.
 
-:class:`ColumnarAnswerStore` completes the mirror set: answer
-membership as sorted per-query oid arrays, lazily rebuilt from the
-live ``set`` objects and explicitly invalidated by the engine whenever
-it mutates an answer outside the array paths.  The evaluator's
-predictive refresh reads and writes these arrays directly (one
-``searchsorted`` delta instead of per-candidate set probes), the
-answered sweep derives its k-NN member union from them, and
-:meth:`ColumnarAnswerStore.csr` snapshots any qid subset as CSR
-offsets + values for batch consumers.
+Answers are not mirrored here: every pipeline keeps each query's answer
+as the live ``set`` on its state object, the one answer representation
+(the batch kernels read and write those sets directly).
 """
 
 from __future__ import annotations
@@ -372,122 +366,3 @@ class ColumnarQueryStore:
             _f64_view(self.max_xs),
             _f64_view(self.max_ys),
         )
-
-
-class _NoopCounter:
-    """Stands in for registry counters when no registry is wired."""
-
-    __slots__ = ()
-
-    def inc(self, value: float = 1.0) -> None:
-        pass
-
-
-_NOOP_COUNTER = _NoopCounter()
-
-
-class ColumnarAnswerStore:
-    """Answer membership as sorted per-query oid arrays.
-
-    Each entry mirrors one query's live ``answer`` set as an ascending
-    ``int64`` ndarray.
-    Entries are built lazily on :meth:`get` and stay valid until the
-    engine **invalidates** them: a length check catches most drift
-    defensively, but same-length membership swaps (one oid out, one
-    in) are invisible to it, so every code path that mutates a
-    mirrored answer outside the array paths must call
-    :meth:`invalidate` — the engine does this for removals,
-    unregistrations, query moves, scalar predictive refreshes, and
-    k-NN re-solves.
-
-    ``version`` increments on every write (put, rebuild, invalidate);
-    derived snapshots — the evaluator's k-NN member union, CSR views —
-    key their validity on it.  Hit/miss/invalidation counters surface
-    the cache's churn (``engine_answer_cache_*_total``).
-    """
-
-    __slots__ = (
-        "_arrays",
-        "version",
-        "_m_hits",
-        "_m_misses",
-        "_m_invalidations",
-    )
-
-    def __init__(self, registry=None) -> None:
-        self._arrays: dict[int, object] = {}
-        self.version = 0
-        if registry is not None:
-            counter = registry.counter
-            self._m_hits = counter("engine_answer_cache_hits_total")
-            self._m_misses = counter("engine_answer_cache_misses_total")
-            self._m_invalidations = counter(
-                "engine_answer_cache_invalidations_total"
-            )
-        else:
-            self._m_hits = _NOOP_COUNTER
-            self._m_misses = _NOOP_COUNTER
-            self._m_invalidations = _NOOP_COUNTER
-
-    def __len__(self) -> int:
-        return len(self._arrays)
-
-    def __contains__(self, qid: int) -> bool:
-        return qid in self._arrays
-
-    def get(self, qid: int, live) -> object:
-        """``qid``'s sorted oid array, coherent with the ``live`` set.
-
-        A cached array whose length matches the live set is served as a
-        hit; anything else (absent, or a missed invalidation caught by
-        the length check) rebuilds from ``live`` and counts a miss.
-        """
-        arr = self._arrays.get(qid)
-        if arr is not None and len(arr) == len(live):
-            self._m_hits.inc()
-            return arr
-        self._m_misses.inc()
-        arr = np.fromiter(live, dtype=np.int64, count=len(live))
-        arr.sort()
-        self._arrays[qid] = arr
-        self.version += 1
-        return arr
-
-    def peek(self, qid: int):
-        """The cached array, or ``None`` — never rebuilds."""
-        return self._arrays.get(qid)
-
-    def put(self, qid: int, arr) -> None:
-        """Install a known-sorted answer array (the predictive refresh
-        writes ``candidates[inside]`` back directly)."""
-        self._arrays[qid] = arr
-        self.version += 1
-
-    def invalidate(self, qid: int) -> None:
-        """Drop ``qid``'s array after an out-of-band answer mutation.
-
-        Always bumps ``version`` — derived snapshots may depend on the
-        *live* set even when no array was cached for ``qid``.
-        """
-        self.version += 1
-        self._m_invalidations.inc()
-        self._arrays.pop(qid, None)
-
-    def csr(self, qids, live_of):
-        """CSR snapshot ``(offsets, values)`` over ``qids`` (in order).
-
-        ``live_of(qid)`` supplies each query's live answer set; rows
-        come from :meth:`get`, so repeated snapshots are cache hits.
-        Both outputs are ``int64`` ndarrays.
-        """
-        parts = [self.get(qid, live_of(qid)) for qid in qids]
-        offsets = np.zeros(len(parts) + 1, dtype=np.int64)
-        if parts:
-            np.cumsum(
-                np.fromiter(map(len, parts), dtype=np.int64, count=len(parts)),
-                out=offsets[1:],
-            )
-            values = np.concatenate(parts)
-        else:
-            values = np.empty(0, dtype=np.int64)
-        return offsets, values

@@ -17,7 +17,7 @@ the clients".
 
 from __future__ import annotations
 
-from repro.core.updates import Update, diff_answers
+from repro.core.updates import UpdateBatch, diff_answers
 
 
 class CommittedAnswerStore:
@@ -39,23 +39,17 @@ class CommittedAnswerStore:
         self._committed.pop(qid, None)
 
     def recovery_updates(
-        self, qid: int, current_answer: frozenset[int], into=None
-    ) -> "list[Update] | object":
+        self, qid: int, current_answer: frozenset[int]
+    ) -> UpdateBatch:
         """The +/- delta bringing a reconnecting client up to date.
 
         The client's stored answer equals the committed answer (every
         delivered-and-acknowledged update is folded into a commit), so
         the difference against the server's current answer is exactly
-        what the client is missing.  ``into`` (an
-        :class:`~repro.core.updates.UpdateBatch`) is forwarded to
-        :func:`diff_answers` so the server's recovery path stays on
-        the columnar stream representation.
+        what the client is missing.
         """
         return diff_answers(
-            qid,
-            set(self.committed_answer(qid)),
-            set(current_answer),
-            into=into,
+            qid, set(self.committed_answer(qid)), set(current_answer)
         )
 
     def tracked_queries(self) -> set[int]:

@@ -491,16 +491,9 @@ class IncrementalEngine:
     def answer_of(self, qid: int) -> frozenset[int]:
         """The current (last evaluated) answer set of ``qid``.
 
-        Under the columnar pipeline this serves through the answer
-        store's cached sorted array when one is live — so external
-        readers (oracle, recovery) exercise store coherence — and
-        falls back to the per-query ``set`` otherwise.
+        A frozen copy of the query's live answer ``set`` — the one
+        answer representation on every pipeline.
         """
-        evaluator = self._columnar_evaluator
-        if evaluator is not None:
-            view = evaluator.answer_view(qid, self.queries[qid].answer)
-            if view is not None:
-                return view
         return frozenset(self.queries[qid].answer)
 
     def complete_answers(self) -> dict[int, frozenset[int]]:
@@ -648,8 +641,6 @@ class IncrementalEngine:
             self._knn_qids.discard(qid)
             self._underfull_knn.discard(qid)
             self._predictive_qids.discard(qid)
-            if self._columnar_evaluator is not None:
-                self._columnar_evaluator.invalidate_answer(qid)
             knn_dirty.discard(qid)
             for oid in query.answer:
                 self.objects[oid].answered.discard(qid)
@@ -661,7 +652,6 @@ class IncrementalEngine:
     ) -> None:
         ostore = self._ostore
         ingest = self._batch_ingest
-        evaluator = self._columnar_evaluator
         for oid in sorted(self._pending_removals):
             state = self.objects.pop(oid, None)
             if state is None:
@@ -675,8 +665,6 @@ class IncrementalEngine:
             for qid in sorted(state.answered):
                 query = self.queries[qid]
                 query.answer.discard(oid)
-                if evaluator is not None:
-                    evaluator.invalidate_answer(qid)
                 updates.push(qid, oid, -1)
                 if query.kind is QueryKind.KNN:
                     knn_dirty.add(qid)
@@ -764,8 +752,6 @@ class IncrementalEngine:
                 query.region = payload  # type: ignore[assignment]
                 self.index.place_query_region(qid, payload)  # type: ignore[arg-type]
                 self._qstore.put(qid, KIND_PREDICTIVE)
-                if self._columnar_evaluator is not None:
-                    self._columnar_evaluator.invalidate_answer(qid)
                 dirty_predictive.add(qid)
         self._pending_moves.clear()
 
@@ -1319,10 +1305,6 @@ class IncrementalEngine:
             query.answer.add(oid)
             self.objects[oid].answered.add(query.qid)
             updates.push(query.qid, oid, 1)
-        if self._columnar_evaluator is not None:
-            # Membership can change without changing length (one out,
-            # one in), so the store's len-check alone cannot detect it.
-            self._columnar_evaluator.invalidate_answer(query.qid)
 
         query.radius = ranked[-1][0] if ranked else 0.0
         footprint = self.grid.cells_overlapping_set(
@@ -1409,8 +1391,9 @@ class IncrementalEngine:
         evaluator = self._columnar_evaluator
         if not compute_flip and evaluator is not None and ordered:
             # Columnar delta path: membership and emission are handled
-            # entirely from the sorted answer array (candidates ⊇
-            # answer, so ordered[inside] is the complete new answer).
+            # by one vectorized delta against the sorted answer
+            # (candidates ⊇ answer, so ordered[inside] is the complete
+            # new answer).
             evaluator.refresh_predictive(
                 qid,
                 query,
@@ -1423,15 +1406,10 @@ class IncrementalEngine:
             query.next_flip = float("-inf")
             return
         flags = None
-        if evaluator is not None:
-            # The scalar loop below mutates the answer without updating
-            # the evaluator's sorted array; drop it so the next
-            # vectorized refresh rebuilds from the live set.
-            evaluator.invalidate_answer(qid)
         if evaluator is not None and ordered:
             # Columnar pipeline: one vectorized membership pass over the
             # candidate rows (bit-identical to the scalar check).
-            flags = self._columnar_evaluator.predicted_inside(
+            flags = evaluator.predicted_inside(
                 ordered,
                 query.region,
                 self.now,
@@ -1545,12 +1523,6 @@ class IncrementalEngine:
             assert self.index.contains_object(oid)
         for qid in self._predictive_qids:
             assert self.queries[qid].kind is QueryKind.PREDICTIVE_RANGE
-        # Any live answer-store view must agree with the set it mirrors.
-        evaluator = self._columnar_evaluator
-        if evaluator is not None:
-            for qid, query in self.queries.items():
-                view = evaluator.answer_view(qid, query.answer)
-                assert view is None or view == query.answer, qid
         # Struct-of-arrays mirrors stay coherent with the dataclass state.
         qstore = self._qstore
         assert len(qstore) == len(self.queries)

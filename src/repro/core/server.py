@@ -37,8 +37,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from repro.core.commit import CommittedAnswerStore
 from repro.core.engine import DEFAULT_WORLD, IncrementalEngine
 from repro.core.updates import UpdateBatch
@@ -454,9 +452,7 @@ class LocationAwareServer:
                 # The client rolled back to the committed answer; every
                 # delivered update moves this base toward `current`.
                 reached = set(self.commits.committed_answer(qid))
-                delta = self.commits.recovery_updates(
-                    qid, current, into=UpdateBatch()
-                )
+                delta = self.commits.recovery_updates(qid, current)
                 for uqid, uoid, usign in delta.tuples():
                     if link.deliver(UpdateMessage(uqid, uoid, usign)):
                         if usign == 1:
@@ -554,24 +550,24 @@ class LocationAwareServer:
             )
             freshness = self.freshness
             recorder = self.recorder
+            bindings = self._bindings
+            links = self._links
+            ship_one = self._ship_one
             with self.tracer.span("downlink"):
-                if len(updates) > 1:
-                    self._ship_grouped(updates, result, freshness, recorder)
-                else:
-                    for uqid, uoid, usign in updates.tuples():
-                        binding = self._bindings.get(uqid)
-                        if binding is None:
-                            # Query was unregistered in this same batch.
-                            continue
-                        self._ship_one(
-                            self._links[binding.client_id],
-                            uqid,
-                            uoid,
-                            usign,
-                            result,
-                            freshness,
-                            recorder,
-                        )
+                for uqid, uoid, usign in updates.tuples():
+                    binding = bindings.get(uqid)
+                    if binding is None:
+                        # Query was unregistered in this same batch.
+                        continue
+                    ship_one(
+                        links[binding.client_id],
+                        uqid,
+                        uoid,
+                        usign,
+                        result,
+                        freshness,
+                        recorder,
+                    )
         self._m_updates_delivered.inc(result.delivered_updates)
         self._m_updates_dropped.inc(result.dropped_updates)
         self._m_incremental_bytes.inc(result.incremental_bytes)
@@ -605,59 +601,6 @@ class LocationAwareServer:
             recorder.record(
                 "downlink", qid=qid, oid=oid, sign=sign, ok=False
             )
-
-    def _ship_grouped(self, updates, result, freshness, recorder) -> None:
-        """Downlink shipping grouped by owning client.
-
-        One ``np.unique`` resolves each distinct qid's binding once and
-        one **stable** argsort groups the batch by client, so the
-        per-update Python work drops to the delivery itself with the
-        link lookup hoisted per group.  Stability preserves stream
-        order within each client group — links are independent FIFO
-        channels with per-link cycle budgets, so per-link delivery
-        outcomes (and the freshness/commit bookkeeping derived from
-        them) are identical to the scalar loop's.
-        """
-        qid_arr = np.asarray(updates.qids, dtype=np.int64)
-        uniq, inverse = np.unique(qid_arr, return_inverse=True)
-        bindings = self._bindings
-        client_of_uniq = np.fromiter(
-            (
-                -1 if (b := bindings.get(qid)) is None else b.client_id
-                for qid in uniq.tolist()
-            ),
-            dtype=np.int64,
-            count=len(uniq),
-        )
-        clients = client_of_uniq[inverse]
-        order = np.argsort(clients, kind="stable")
-        sorted_clients = clients[order]
-        cuts = (
-            np.flatnonzero(sorted_clients[1:] != sorted_clients[:-1]) + 1
-        ).tolist()
-        starts = [0, *cuts]
-        stops = [*cuts, len(order)]
-        group_clients = sorted_clients[starts].tolist()
-        order_list = order.tolist()
-        qids = updates.qids
-        oids = updates.oids
-        signs = updates.signs
-        links = self._links
-        ship_one = self._ship_one
-        for cid, s, e in zip(group_clients, starts, stops):
-            if cid < 0:
-                continue  # queries unregistered in this same batch
-            link = links[cid]
-            for idx in order_list[s:e]:
-                ship_one(
-                    link,
-                    qids[idx],
-                    oids[idx],
-                    signs[idx],
-                    result,
-                    freshness,
-                    recorder,
-                )
 
     def savings_ratio(self) -> float:
         """Cumulative incremental bytes as a fraction of the complete

@@ -100,8 +100,7 @@ class UpdateBatch:
     property).
 
     Columns are plain Python int lists: appends and slice-extends stay
-    in C, and the numpy consumers (server downlink group-by, bulk set
-    maintenance) lift them with one ``np.asarray`` when needed.
+    in C.
     """
 
     __slots__ = ("qids", "oids", "signs")
@@ -195,25 +194,18 @@ class UpdateBatch:
         return list(map(Update, self.qids, self.oids, self.signs))
 
 
-def diff_answers(
-    qid: int, old: set[int], new: set[int], into: UpdateBatch | None = None
-) -> "list[Update] | UpdateBatch":
+def diff_answers(qid: int, old: set[int], new: set[int]) -> UpdateBatch:
     """The update stream turning answer ``old`` into answer ``new``.
 
     Negative updates come first (deterministically sorted), then
     positives — the order the out-of-sync recovery path sends them in.
-    Pass ``into`` to append the delta onto an existing
-    :class:`UpdateBatch` (returned) instead of materialising a list.
     """
-    if into is not None:
-        for oid in sorted(old - new):
-            into.push(qid, oid, -1)
-        for oid in sorted(new - old):
-            into.push(qid, oid, 1)
-        return into
-    negatives = [Update.negative(qid, oid) for oid in sorted(old - new)]
-    positives = [Update.positive(qid, oid) for oid in sorted(new - old)]
-    return negatives + positives
+    batch = UpdateBatch()
+    for oid in sorted(old - new):
+        batch.push(qid, oid, -1)
+    for oid in sorted(new - old):
+        batch.push(qid, oid, 1)
+    return batch
 
 
 def apply_updates(answer: set[int], updates) -> set[int]:

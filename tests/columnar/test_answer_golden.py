@@ -1,18 +1,18 @@
-"""Golden equivalence of the columnar answer plane's delta emission.
+"""Golden equivalence of the columnar pipeline's delta emission.
 
 The batch ingest golden tests pin report-buffer shapes; these pin the
-*emission* side introduced with the SoA answer plane: the
-:class:`~repro.core.updates.UpdateBatch` stream spliced together from
-classification column slices, and the :class:`ColumnarAnswerStore` views
-legacy callers read through.
+*emission* side: the :class:`~repro.core.updates.UpdateBatch` stream
+spliced together from classification column slices, against the live
+answer sets every pipeline keeps.
 
-Workloads interleave the operations most likely to desynchronise the
-store from the authoritative live sets: object removals between
-evaluation rounds (negative updates + answered-sweep), and query moves
-(range, k-NN, and predictive reshapes that rewrite whole answers).
+Workloads interleave the operations that rewrite answers outside the
+batch kernel: object removals between evaluation rounds (negative
+updates + answered-sweep), query moves (range, k-NN, and predictive
+reshapes that rewrite whole answers), and same-length swaps where a
+k-NN and a predictive answer each trade one member for another.
 The two batched pipelines must emit **byte-identical** ordered streams;
-the per-object reference must agree per query as a set.  ``check_invariants`` runs after every round
-and asserts every cached answer view equals the live set.
+the per-object reference must agree per query as a set.
+``check_invariants`` runs after every round.
 """
 
 from __future__ import annotations
@@ -108,7 +108,7 @@ def test_removal_interleaved_emission():
     )
 
     # Unregister a populated query, re-report a removed oid, and keep
-    # churning: the store must forget qid 2 and treat oid 9 as new.
+    # churning: qid 2 must fall silent and oid 9 must count as new.
     fleet.all("unregister_query", 2)
     fleet.all("report_object", 9, Point(0.3, 0.3), 2.0)
     for oid in range(1, 32, 4):
@@ -122,7 +122,8 @@ def test_removal_interleaved_emission():
 
 def test_query_move_interleaved_emission():
     """Query moves rewrite whole answers; interleaved with object
-    reports they exercise every invalidation hook in one stream."""
+    reports and removals they exercise every out-of-kernel answer
+    mutation in one stream."""
     fleet = Fleet()
     fleet.register_standard_queries()
     for oid in range(28):
@@ -156,50 +157,42 @@ def test_query_move_interleaved_emission():
             fleet.all("report_object", oid, Point(oid / 28.0, 0.72), 2.0)
     fleet.evaluate_and_compare(2.0)
 
-    # Round 3: a quiet settle round flushes any stale cached views.
+    # Round 3: a quiet settle round (predictive queries recompute their
+    # flip schedules through the scalar refresh).
     fleet.evaluate_and_compare(3.0)
 
-
-def test_answer_store_views_and_csr():
-    """The store's cached views and CSR snapshot mirror live answers."""
-    engine = _engine("columnar")
-    engine.register_range_query(1, Rect(0.1, 0.1, 0.9, 0.9))
-    engine.register_range_query(2, Rect(0.0, 0.0, 0.3, 0.3))
-    engine.register_knn_query(3, Point(0.5, 0.5), 2)
-    for oid in range(12):
-        engine.report_object(oid, Point(oid / 12.0, oid / 12.0), 0.0)
-    engine.evaluate(0.0)
-
-    evaluator = engine._columnar_evaluator
-    assert evaluator is not None
-    store = evaluator.answers
-    for qid in (1, 2, 3):
-        live = engine.queries[qid].answer
-        assert engine.answer_of(qid) == frozenset(live)
-        view = evaluator.answer_view(qid, live)
-        if view is not None:
-            assert view == live
-
-    qids = [1, 2, 3]
-    offsets, values = store.csr(
-        qids, lambda qid: engine.queries[qid].answer
+    # Round 4: same-length swaps.  The k-NN query's farthest member and
+    # one predictive member move away while a fresh object lands on
+    # each query, so both answers trade one oid for another.
+    engine = fleet.engines["columnar"]
+    knn = engine.queries[4]
+    far = max(
+        knn.answer,
+        key=lambda oid: engine.objects[oid].location.distance_to(knn.center),
     )
-    assert len(offsets) == len(qids) + 1
-    assert int(offsets[0]) == 0
-    for pos, qid in enumerate(qids):
-        row = [int(v) for v in values[int(offsets[pos]):int(offsets[pos + 1])]]
-        assert row == sorted(engine.queries[qid].answer), qid
+    leaver = min(engine.queries[5].answer - knn.answer - {far})
+    before = {qid: set(engine.queries[qid].answer) for qid in (4, 5)}
+    fleet.all("report_object", far, Point(0.05, 0.95), 4.0)
+    fleet.all("report_object", leaver, Point(0.3, 0.6), 4.0)
+    fleet.all("report_object", 200, knn.center, 4.0)
+    fleet.all("report_object", 201, Point(0.62, 0.05), 4.0)
+    swapped = fleet.evaluate_and_compare(4.0)
+    expected = {
+        4: [(4, far, -1), (4, 200, 1)],
+        5: [(5, leaver, -1), (5, 201, 1)],
+    }
+    for qid, want in expected.items():
+        got = sorted((u for u in swapped if u[0] == qid), key=lambda u: u[2])
+        assert got == want, qid
+        after = engine.queries[qid].answer
+        assert len(after) == len(before[qid]) and after != before[qid]
+        for other in fleet.engines.values():
+            assert other.answer_of(qid) == frozenset(after)
 
-    # Mutate and re-snapshot: rows must track the new answers and the
-    # version counter must move so derived caches can notice.
-    before = store.version
-    engine.remove_object(5)
-    engine.report_object(20, Point(0.2, 0.2), 1.0)
-    engine.evaluate(1.0)
-    assert store.version != before
-    offsets, values = store.csr(
-        qids, lambda qid: engine.queries[qid].answer
-    )
-    for pos, qid in enumerate(qids):
-        row = [int(v) for v in values[int(offsets[pos]):int(offsets[pos + 1])]]
-        assert row == sorted(engine.queries[qid].answer), qid
+    # Round 5: nudging the newcomers re-solves the k-NN query and
+    # refreshes the predictive one from the swapped answers.
+    fleet.all("report_object", 200, Point(0.74, 0.75), 5.0)
+    fleet.all("report_object", 201, Point(0.63, 0.06), 5.0)
+    settled = fleet.evaluate_and_compare(5.0)
+    assert not [u for u in settled if u[0] in (4, 5)]
+

@@ -38,6 +38,7 @@ class TestDiff:
 
     def test_negatives_precede_positives(self):
         updates = diff_answers(9, {1}, {2})
+        assert isinstance(updates, UpdateBatch)
         assert updates == [Update.negative(9, 1), Update.positive(9, 2)]
 
 
@@ -128,12 +129,3 @@ class TestUpdateBatch:
     def test_apply_updates_batch_matches_list(self, updates, answer):
         batch = UpdateBatch.from_updates(updates)
         assert apply_updates(answer, batch) == apply_updates(answer, updates)
-
-    def test_diff_answers_into_batch(self):
-        into = UpdateBatch()
-        out = diff_answers(9, {1, 3}, {2, 3}, into=into)
-        assert out is into
-        assert into == [Update.negative(9, 1), Update.positive(9, 2)]
-        # Appends after existing content, preserving FIFO.
-        diff_answers(4, set(), {7}, into=into)
-        assert into[-1] == Update.positive(4, 7)
