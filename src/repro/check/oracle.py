@@ -13,10 +13,35 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+import numpy as np
+
+from repro.core.engine import IncrementalEngine
 from repro.core.server import LocationAwareServer
-from repro.core.state import QueryKind
+from repro.core.state import (
+    KnnQueryState,
+    ObjectState,
+    PredictiveQueryState,
+    QueryKind,
+    RangeQueryState,
+)
 from repro.core.updates import Update, apply_updates
 from repro.net.messages import FullAnswerMessage, Message, UpdateMessage
+
+#: Upper bound on the cells of one query x object matrix (a float64
+#: matrix of this size is 2 MB); the snapshot recompute walks the
+#: queries in row chunks that fit it.
+_CHUNK_CELLS = 1 << 18
+
+#: Relative slack of the vectorized screens.  A squared distance
+#: ranks objects within a few ulps of ``math.hypot``, and a Liang-Barsky
+#: clip may accept a segment that misses the region by a few ulps, so
+#: the screens keep everything within this relative distance and leave
+#: the exact verdict to the scalar predicates.
+_SLACK = 1e-9
+
+#: Absolute floor of the k-NN screen: squaring a coordinate difference
+#: below ~1e-154 underflows, which no relative slack can cover.
+_TINY = 1e-300
 
 
 @dataclass(frozen=True, slots=True)
@@ -219,9 +244,9 @@ class ConsistencyOracle:
 
     def _check_snapshot(self, cycle: int, found: list[Divergence]) -> None:
         engine = self.server.engine
-        for qid in engine.queries:
+        for qid, recomputed in self._recompute_all().items():
             self._compare(
-                "snapshot", cycle, qid, self._recompute(qid),
+                "snapshot", cycle, qid, recomputed,
                 engine.answer_of(qid),
                 "from-scratch recomputation vs engine answer", found,
             )
@@ -282,27 +307,181 @@ class ConsistencyOracle:
             )
         )
 
-    def _recompute(self, qid: int) -> frozenset[int]:
-        """Brute-force the answer from raw object state (no index, no
-        incremental bookkeeping), using the same membership predicates
-        the engine defines."""
+    def _recompute_all(self) -> dict[int, frozenset[int]]:
+        """Brute-force every query's answer from raw object state.
+
+        Reads the object columns from ``engine.objects`` once and
+        nothing from the grid, the index or the incremental bookkeeping.
+        Range containment is exact in numpy (closed bounds, the same
+        comparisons as :meth:`Rect.contains_point`).  k-NN and
+        predictive answers are screened in numpy with a conservative
+        slack; the survivors get the exact scalar verdict —
+        ``(Point.distance_to, oid)`` ranking and
+        ``engine._predicted_in_region`` — so the oracle cross-checks,
+        rather than shares, the columnar ``predicted_inside`` kernel.
+        """
         engine = self.server.engine
-        query = engine.queries[qid]
         objects = engine.objects
-        if query.kind is QueryKind.RANGE:
-            return frozenset(
-                oid
-                for oid, state in objects.items()
-                if query.region.contains_point(state.location)
-            )
-        if query.kind is QueryKind.KNN:
-            ranked = sorted(
-                (state.location.distance_to(query.center), oid)
-                for oid, state in objects.items()
-            )
-            return frozenset(oid for _, oid in ranked[: query.k])
-        return frozenset(
-            oid
-            for oid, state in objects.items()
-            if engine._predicted_in_region(query, state)
+        n = len(objects)
+        states = list(objects.values())
+        oid_list = list(objects)
+        cols = _ObjectColumns(
+            states=states,
+            oid_list=oid_list,
+            oids=np.array(oid_list, dtype=np.int64),
+            xs=np.fromiter((s.location.x for s in states), np.float64, n),
+            ys=np.fromiter((s.location.y for s in states), np.float64, n),
+            vxs=np.fromiter((s.velocity.vx for s in states), np.float64, n),
+            vys=np.fromiter((s.velocity.vy for s in states), np.float64, n),
+            ts=np.fromiter((s.t for s in states), np.float64, n),
         )
+        by_kind: dict[QueryKind, list] = {kind: [] for kind in QueryKind}
+        for query in engine.queries.values():
+            by_kind[query.kind].append(query)
+        answers: dict[int, frozenset[int]] = {}
+        _range_answers(by_kind[QueryKind.RANGE], cols, answers)
+        _knn_answers(by_kind[QueryKind.KNN], cols, answers)
+        _predictive_answers(
+            by_kind[QueryKind.PREDICTIVE_RANGE], cols, engine, answers
+        )
+        return answers
+
+
+@dataclass(frozen=True, slots=True)
+class _ObjectColumns:
+    """One snapshot of ``engine.objects`` as parallel columns."""
+
+    states: list[ObjectState]
+    oid_list: list[int]
+    oids: np.ndarray
+    xs: np.ndarray
+    ys: np.ndarray
+    vxs: np.ndarray
+    vys: np.ndarray
+    ts: np.ndarray
+
+
+def _row_chunks(rows: int, width: int):
+    """``(lo, hi)`` row slices whose ``rows x width`` blocks fit
+    :data:`_CHUNK_CELLS`."""
+    step = max(1, _CHUNK_CELLS // max(width, 1))
+    for lo in range(0, rows, step):
+        yield lo, min(rows, lo + step)
+
+
+def _magnitude(*arrays: np.ndarray) -> float:
+    """The largest absolute value in any of ``arrays`` (0 if empty)."""
+    return max(float(np.abs(a).max(initial=0.0)) for a in arrays)
+
+
+def _region_bounds(queries: list) -> np.ndarray:
+    """``(q, 4)`` array of ``min_x, min_y, max_x, max_y`` columns."""
+    return np.array(
+        [
+            (q.region.min_x, q.region.min_y, q.region.max_x, q.region.max_y)
+            for q in queries
+        ],
+        dtype=np.float64,
+    )
+
+
+def _range_answers(
+    queries: list[RangeQueryState],
+    cols: _ObjectColumns,
+    answers: dict[int, frozenset[int]],
+) -> None:
+    if not queries:
+        return
+    bounds = _region_bounds(queries)
+    xs, ys = cols.xs, cols.ys
+    for lo, hi in _row_chunks(len(queries), len(xs)):
+        b = bounds[lo:hi]
+        inside = (
+            (b[:, 0:1] <= xs)
+            & (xs <= b[:, 2:3])
+            & (b[:, 1:2] <= ys)
+            & (ys <= b[:, 3:4])
+        )
+        for row, query in enumerate(queries[lo:hi]):
+            answers[query.qid] = frozenset(cols.oids[inside[row]].tolist())
+
+
+def _knn_answers(
+    queries: list[KnnQueryState],
+    cols: _ObjectColumns,
+    answers: dict[int, frozenset[int]],
+) -> None:
+    if not queries:
+        return
+    n = len(cols.oid_list)
+    everyone = frozenset(cols.oid_list)
+    centers = np.array(
+        [(q.center.x, q.center.y) for q in queries], dtype=np.float64
+    )
+    states, oid_list = cols.states, cols.oid_list
+    for lo, hi in _row_chunks(len(queries), n):
+        dx = cols.xs - centers[lo:hi, 0:1]
+        dy = cols.ys - centers[lo:hi, 1:2]
+        dist2 = dx * dx + dy * dy
+        for row, query in enumerate(queries[lo:hi]):
+            k = query.k
+            if k >= n:
+                answers[query.qid] = everyone
+                continue
+            d2 = dist2[row]
+            kth = np.partition(d2, k - 1)[k - 1]
+            # Every true top-k member lies within a few ulps of the
+            # screened k-th distance; the band keeps all of them and
+            # the exact ranking below decides ties by oid.
+            band = np.flatnonzero(d2 <= kth * (1.0 + _SLACK) + _TINY)
+            center = query.center
+            ranked = sorted(
+                (states[i].location.distance_to(center), oid_list[i])
+                for i in band.tolist()
+            )
+            answers[query.qid] = frozenset(oid for _, oid in ranked[:k])
+
+
+def _predictive_answers(
+    queries: list[PredictiveQueryState],
+    cols: _ObjectColumns,
+    engine: IncrementalEngine,
+    answers: dict[int, frozenset[int]],
+) -> None:
+    if not queries:
+        return
+    now = engine.now
+    xs, ys, vxs, vys, ts = cols.xs, cols.ys, cols.vxs, cols.vys, cols.ts
+    # The window clamp of ``_predicted_in_region``, in the same float
+    # operations: start no earlier than the report, end no later than
+    # the trusted extrapolation span.
+    start = np.maximum(now, ts)
+    trusted_end = ts + engine.prediction_horizon
+    start_x = xs + vxs * (start - ts)
+    start_y = ys + vys * (start - ts)
+    bounds = _region_bounds(queries)
+    horizons = np.array([q.horizon for q in queries], dtype=np.float64)
+    states, oid_list = cols.states, cols.oid_list
+    for lo, hi in _row_chunks(len(queries), len(xs)):
+        end = np.minimum(now + horizons[lo:hi, None], trusted_end)
+        end_x = xs + vxs * (end - ts)
+        end_y = ys + vys * (end - ts)
+        b = bounds[lo:hi]
+        slack = _SLACK * (
+            1.0 + _magnitude(b, start_x, start_y, end_x, end_y)
+        )
+        # The window segment's bounding box against the slack-grown
+        # region: a miss here is a miss for the exact clip as well.
+        maybe = (
+            (end >= start)
+            & (np.minimum(start_x, end_x) <= b[:, 2:3] + slack)
+            & (np.maximum(start_x, end_x) >= b[:, 0:1] - slack)
+            & (np.minimum(start_y, end_y) <= b[:, 3:4] + slack)
+            & (np.maximum(start_y, end_y) >= b[:, 1:2] - slack)
+        )
+        for row, query in enumerate(queries[lo:hi]):
+            answers[query.qid] = frozenset(
+                oid_list[i]
+                for i in np.flatnonzero(maybe[row]).tolist()
+                if engine._predicted_in_region(query, states[i])
+            )

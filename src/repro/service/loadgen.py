@@ -50,6 +50,23 @@ FIRST_QID = 1_000_000
 _BARRIER_TIMEOUT = 120.0
 
 
+def _connect(address: tuple[str, int], timeout: float) -> socket.socket:
+    """A TCP connection with Nagle's algorithm off.
+
+    A round's outbox leaves the 8 KB ``makefile`` buffer in more than
+    one ``send``; with Nagle on, the kernel holds the tail (which
+    carries the trailing ``ping``) until the server ACKs the head, and
+    the server delays that ACK by ~40 ms, so every round would stall.
+    """
+    sock = socket.create_connection(address, timeout=timeout)
+    try:
+        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+    except OSError:
+        sock.close()
+        raise
+    return sock
+
+
 @dataclass(slots=True)
 class LoadConfig:
     """One load run: population sizes, pacing, verification."""
@@ -120,7 +137,7 @@ class _SessionWorker(threading.Thread):
 
     def run(self) -> None:  # pragma: no cover - exercised via LoadDriver
         try:
-            with socket.create_connection(self.address, timeout=60) as sock:
+            with _connect(self.address, timeout=60) as sock:
                 wire = sock.makefile("rwb")
                 while True:
                     self.barrier.wait(_BARRIER_TIMEOUT)  # A: outbox ready
@@ -204,7 +221,7 @@ class _ControlLink:
     """
 
     def __init__(self, address: tuple[str, int]):
-        self.sock = socket.create_connection(address, timeout=60)
+        self.sock = _connect(address, timeout=60)
         self.wire = self.sock.makefile("rwb")
 
     def request(self, op: dict) -> dict:
@@ -493,7 +510,7 @@ class LoadDriver:
 
 def http_get(address: tuple[str, int], path: str) -> tuple[int, str]:
     """Minimal GET against the runtime's HTTP plane."""
-    with socket.create_connection(address, timeout=30) as sock:
+    with _connect(address, timeout=30) as sock:
         sock.sendall(
             f"GET {path} HTTP/1.1\r\nHost: {address[0]}\r\n"
             "Connection: close\r\n\r\n".encode()

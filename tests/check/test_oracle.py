@@ -105,6 +105,50 @@ class TestDetection:
             >= 1.0
         )
 
+    @staticmethod
+    def tampered_snapshot(server, oracle, qid, drop, add):
+        """Run a cycle, swap ``drop`` for ``add`` in ``qid``'s engine
+        answer, and return the snapshot divergences."""
+        oracle.begin_cycle()
+        result = server.evaluate_cycle(2.0)
+        answer = server.engine.queries[qid].answer
+        assert drop in answer and add not in answer
+        answer.discard(drop)
+        answer.add(add)
+        found = oracle.end_cycle(1, result.updates)
+        return [d for d in found if d.kind == "snapshot"]
+
+    def test_tampered_knn_answer_is_flagged(self):
+        """Swapping a k-NN member for the (k+1)-th nearest object."""
+        server = LocationAwareServer(grid_size=8)
+        server.register_client(1)
+        server.register_knn_query(1, qid=20, center=Point(0.5, 0.5), k=2)
+        oracle = ConsistencyOracle(server)
+        for oid, x in enumerate([0.52, 0.55, 0.6, 0.7]):
+            server.receive_object_report(oid, Point(x, 0.5), 1.0)
+        assert run_cycle(server, oracle, 0, 1.0) == []
+        assert server.engine.answer_of(20) == {0, 1}
+        flagged = self.tampered_snapshot(server, oracle, 20, drop=1, add=2)
+        assert [(d.qid, d.oids) for d in flagged] == [(20, (1, 2))]
+
+    def test_tampered_predictive_answer_is_flagged(self):
+        """Swapping an object heading into the region for one heading
+        away from it."""
+        server = LocationAwareServer(grid_size=8)
+        server.register_client(1)
+        server.register_predictive_query(1, qid=30, region=REGION, horizon=5.0)
+        oracle = ConsistencyOracle(server)
+        server.receive_object_report(
+            1, Point(0.1, 0.5), 1.0, Velocity(0.05, 0.0)
+        )
+        server.receive_object_report(
+            2, Point(0.1, 0.5), 1.0, Velocity(-0.05, 0.0)
+        )
+        assert run_cycle(server, oracle, 0, 1.0) == []
+        assert server.engine.answer_of(30) == {1}
+        flagged = self.tampered_snapshot(server, oracle, 30, drop=1, add=2)
+        assert [(d.qid, d.oids) for d in flagged] == [(30, (1, 2))]
+
     def test_overcommit_is_flagged(self):
         """Committing state the client never received violates
         committed ⊆ delivered."""

@@ -1,10 +1,12 @@
 """The multiplexed load driver end to end against a live runtime."""
 
+import socket
+
 import pytest
 
 from repro.faults import FaultPlan, default_plan
 from repro.obs import FlightRecorder
-from repro.service.loadgen import LoadConfig, LoadDriver
+from repro.service.loadgen import LoadConfig, LoadDriver, _connect
 
 
 SMALL = dict(
@@ -17,6 +19,18 @@ SMALL = dict(
     sessions=2,
     verify_samples=10,
 )
+
+
+class TestConnect:
+    def test_driver_sockets_disable_nagle(self):
+        """Without TCP_NODELAY the tail of a multi-send outbox waits on
+        the server's delayed ACK (~40 ms per round)."""
+        with socket.create_server(("127.0.0.1", 0)) as listener:
+            with _connect(listener.getsockname(), timeout=5) as sock:
+                assert (
+                    sock.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY)
+                    != 0
+                )
 
 
 class TestCleanRun:
